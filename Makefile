@@ -34,9 +34,10 @@ race-parallel:
 	$(GO) test -race -timeout 5m -run 'TestParallelSweep' -v ./internal/scenario
 
 # The math/big oracle backend — the differential reference for the
-# fixed-limb fp backend — must stay green (used by CI).
+# fixed-limb fp backend — must stay green (used by CI), and so must
+# the STS engine running on it.
 test-purebig:
-	$(GO) test -tags ec_purebig ./internal/ec/...
+	$(GO) test -tags ec_purebig ./internal/ec/... ./internal/core/...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
@@ -62,10 +63,11 @@ bench-compare:
 # allocation budgets on the fp backend (used by CI; fails on regression
 # into per-digit heap allocation). The ScalarMult and VerifyBatch
 # gates ride together: both guard the same fixed-limb no-alloc
-# contract, one per-op and one per-batched-item.
+# contract, one per-op and one per-batched-item. The secret-path gate
+# bounds the constant-time base mult and DH every handshake runs.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
-	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
+	$(GO) test -run='TestScalarMultAllocBudget|TestSecretAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
@@ -259,7 +261,7 @@ linkcheck:
 
 # The determinism- and hot-path-contract analyzers (internal/analysis
 # + detcheck) over the whole module: wallclock, detrand, maporder,
-# spawn, hotpath. Pure stdlib like doccheck/linkcheck — no installs,
+# spawn, hotpath, ctscalar. Pure stdlib like doccheck/linkcheck — no installs,
 # no network. Exits non-zero on any unsuppressed finding, malformed
 # //detlint:allow annotation, or unused annotation, so the escape set
 # in the tree is exactly the documented exceptions.

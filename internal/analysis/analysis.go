@@ -9,7 +9,7 @@
 // contracts — today enforced only dynamically, by byte-compare CI
 // gates and allocation-budget tests — into the compiler front-end,
 // where they cover every code path at once instead of only the paths
-// a scenario happens to exercise. The five contract checks themselves
+// a scenario happens to exercise. The six contract checks themselves
 // live in internal/analysis/detcheck; the cmd/detlint multichecker
 // drives them over the module.
 //

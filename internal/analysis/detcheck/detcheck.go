@@ -1,4 +1,4 @@
-// Package detcheck holds the five repo-specific contract checks that
+// Package detcheck holds the six repo-specific contract checks that
 // cmd/detlint runs over the module. Each analyzer turns one of the
 // repo's dynamically-enforced determinism or hot-path contracts into
 // a static check that covers every code path at compile time:
@@ -8,6 +8,8 @@
 //	maporder  — no map iteration feeding traces, emitters or accounting
 //	spawn     — no goroutine launches outside the bounded conc pool
 //	hotpath   — no math/big, fmt or interface boxing on the EC hot path
+//	ctscalar  — no secret-dependent branch or index on the constant-time
+//	            path, and no secret scalar in a variable-time multiplication
 //
 // The dynamic gates (byte-compare CI runs, allocation budgets) stay:
 // they prove the contracts hold end to end, while these checks prove
@@ -16,7 +18,7 @@
 // (see internal/analysis), so every exception is a documented,
 // build-enforced contract.
 //
-// All five analyzers inspect only non-test files: tests are allowed
+// All six analyzers inspect only non-test files: tests are allowed
 // wall clocks, ambient randomness and naked goroutines because their
 // output feeds assertions, not the byte-compared artifacts the
 // determinism contract protects.
@@ -38,6 +40,7 @@ func Analyzers() []*analysis.Analyzer {
 		Maporder,
 		Spawn,
 		Hotpath,
+		Ctscalar,
 	}
 }
 

@@ -83,3 +83,29 @@ func TestSuiteOnRealPackage(t *testing.T) {
 		t.Errorf("unexpected finding: %s", f)
 	}
 }
+
+func TestCtscalar(t *testing.T) {
+	analysistest.Run(t, detcheck.Ctscalar, "testdata/src/ctscalar", "repro/internal/ec")
+}
+
+func TestCtscalarCallers(t *testing.T) {
+	analysistest.Run(t, detcheck.Ctscalar, "testdata/src/ctscalar_callers", "repro/internal/core")
+}
+
+// TestCtscalarSecurityExempt loads the callers fixture as
+// internal/security, whose attack models may compute with stolen keys:
+// rule 2 stays silent, leaving only the fixture's now-unused
+// suppression as a hygiene finding.
+func TestCtscalarSecurityExempt(t *testing.T) {
+	pkg, err := analysis.LoadDir("testdata/src/ctscalar_callers", "repro/internal/security")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := analysis.Run([]*analysis.Analyzer{detcheck.Ctscalar}, []*analysis.Package{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0].Message, "unused annotation") {
+		t.Fatalf("want only the unused-annotation finding in internal/security, got %v", findings)
+	}
+}

@@ -78,6 +78,36 @@ type Party struct {
 	// cross-party serialization point. Parties are passed by pointer;
 	// use Clone to derive credential variants.
 	cache atomic.Pointer[KeyCache]
+
+	// secret is the constant-time handle on Priv for the static-DH
+	// baselines, built on first use and rebuilt only if Priv is
+	// replaced.
+	secret atomic.Pointer[privHandle]
+}
+
+// privHandle ties an ec.SecretKey to the Priv value it was built from.
+type privHandle struct {
+	priv *big.Int
+	key  *ec.SecretKey
+}
+
+// secretKey returns the party's long-term key as an ec.SecretKey,
+// building it once per Priv: building costs a base-point
+// multiplication, which a static-DH handshake must not pay each time.
+// Safe for concurrent use; racing builders produce equal handles.
+func (p *Party) secretKey() (*ec.SecretKey, error) {
+	if h := p.secret.Load(); h != nil && h.priv == p.Priv {
+		return h.key, nil
+	}
+	if p.Priv == nil || p.Priv.Sign() <= 0 || p.Priv.Cmp(p.Curve.N) >= 0 {
+		return nil, errors.New("core: private key out of range")
+	}
+	key, err := p.Curve.NewSecretKey(p.Curve.ScalarToBytes(p.Priv))
+	if err != nil {
+		return nil, err
+	}
+	p.secret.Store(&privHandle{priv: p.Priv, key: key})
+	return key, nil
 }
 
 // KeyCache returns the party's lazily created per-peer key cache.
@@ -121,6 +151,7 @@ func (p *Party) CloneWithRand(rng io.Reader) *Party {
 	q := p.Clone()
 	q.Rand = rng
 	q.cache.Store(p.KeyCache())
+	q.secret.Store(p.secret.Load())
 	return q
 }
 

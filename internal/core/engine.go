@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
@@ -34,8 +33,8 @@ type engineCommon struct {
 	trace *Trace
 	suite *suite
 
-	x      *big.Int // own ephemeral scalar
-	xg     ec.Point // own ephemeral point
+	x      *ec.SecretKey // own ephemeral scalar
+	xg     ec.Point      // own ephemeral point
 	peerXG ec.Point
 	peerID ecqv.ID
 	encKey []byte

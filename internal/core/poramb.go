@@ -153,7 +153,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("poramb: A: extract Q_B: %w", err)
 	}
-	pmA, err := sa.dh(a.Priv, qB)
+	pmA, err := sa.staticDH(a, qB)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("poramb: B: extract Q_A: %w", err)
 	}
-	pmB, err := sb.dh(b.Priv, qA)
+	pmB, err := sb.staticDH(b, qA)
 	if err != nil {
 		return nil, err
 	}

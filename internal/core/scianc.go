@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/ec"
 	"repro/internal/ecqv"
 )
 
@@ -25,10 +24,10 @@ import (
 // computation depends only on certificate-epoch material and is cached
 // across sessions, leaving roughly one EC point multiplication per
 // device per session — which is why SCIANC posts the fastest Table I
-// times among the certificate-based protocols.
-type SCIANC struct {
-	// cache of d·Q_CA per party role, established on first run.
-}
+// times among the certificate-based protocols. The trace meters that
+// device computation; the host evaluates the same premaster as a DH
+// against the extracted peer key (see suite.cachedCombinedDH).
+type SCIANC struct{}
 
 // NewSCIANC returns the SCIANC baseline protocol.
 func NewSCIANC() *SCIANC { return &SCIANC{} }
@@ -64,12 +63,6 @@ func (p *SCIANC) Run(a, b *Party) (*Result, error) {
 	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
 	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
 	res := &Result{Protocol: p.Name(), Trace: trace}
-
-	// Certificate-epoch caches: d·Q_CA is independent of the peer and
-	// session; devices precompute it when certificates are installed.
-	// It is deliberately NOT metered into the session trace.
-	cacheA := curve.ScalarMult(a.CAPub, a.Priv)
-	cacheB := curve.ScalarMult(b.CAPub, b.Priv)
 
 	// --- A, Op1.
 	sa.enter(PhaseOp1)
@@ -109,7 +102,7 @@ func (p *SCIANC) Run(a, b *Party) (*Result, error) {
 	// KD authentication, meaning that if the session key gets
 	// exploited so will the future authentication" (§V-D). The
 	// security engine demonstrates exactly that forgery.
-	deriveKeys := func(s *suite, self *Party, peerCertBytes []byte, peerID ecqv.ID, cached ec.Point) ([]byte, []byte, error) {
+	deriveKeys := func(s *suite, self *Party, peerCertBytes []byte, peerID ecqv.ID) ([]byte, []byte, error) {
 		cert, err := ecqv.Decode(peerCertBytes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scianc: peer certificate: %w", err)
@@ -118,7 +111,11 @@ func (p *SCIANC) Run(a, b *Party) (*Result, error) {
 			return nil, nil, err
 		}
 		s.enter(PhaseOp2)
-		pm, err := s.cachedCombinedDH(self.Priv, cert, cached)
+		key, err := self.secretKey()
+		if err != nil {
+			return nil, nil, err
+		}
+		pm, err := s.cachedCombinedDH(key, cert, self.CAPub)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -133,11 +130,11 @@ func (p *SCIANC) Run(a, b *Party) (*Result, error) {
 		return encKey, authKey, nil
 	}
 
-	encA, macKeyA, err := deriveKeys(sa, a, b1.Get("Cert"), b.ID, cacheA)
+	encA, macKeyA, err := deriveKeys(sa, a, b1.Get("Cert"), b.ID)
 	if err != nil {
 		return nil, fmt.Errorf("scianc: A: %w", err)
 	}
-	encB, macKeyB, err := deriveKeys(sb, b, a1.Get("Cert"), a.ID, cacheB)
+	encB, macKeyB, err := deriveKeys(sb, b, a1.Get("Cert"), a.ID)
 	if err != nil {
 		return nil, fmt.Errorf("scianc: B: %w", err)
 	}

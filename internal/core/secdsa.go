@@ -133,7 +133,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 	// exchange but do NOT diversify the key. This is precisely the
 	// static-KD behaviour the paper critiques: "These keys would,
 	// hence, only be changed by the change of the certificates" (§I).
-	pmA, err := sa.dh(a.Priv, qB)
+	pmA, err := sa.staticDH(a, qB)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: A premaster: %w", err)
 	}
@@ -178,7 +178,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B: extract Q_A: %w", err)
 	}
-	pmB, err := sb.dh(b.Priv, qA)
+	pmB, err := sb.staticDH(b, qA)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B premaster: %w", err)
 	}

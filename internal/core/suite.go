@@ -44,15 +44,21 @@ func newSuite(curve *ec.Curve, m *meter, rng io.Reader, cache *KeyCache) *suite 
 func (s *suite) enter(p Phase) { s.m.enter(p) }
 
 // ephemeral draws X ∈R [1, n−1] and computes XG = X·G — the request
-// operation of equation (2).
-func (s *suite) ephemeral() (*big.Int, ec.Point, error) {
+// operation of equation (2). X stays inside the returned handle, which
+// dh takes: building the handle already paid the base mult, so it is
+// never rebuilt per use.
+func (s *suite) ephemeral() (*ec.SecretKey, ec.Point, error) {
 	s.m.record(PrimRandScalar, 1)
-	x, err := s.curve.RandomScalar(s.rng)
+	k, err := s.curve.RandomScalarBytes(s.rng)
 	if err != nil {
 		return nil, ec.Point{}, err
 	}
 	s.m.record(PrimECBaseMult, 1)
-	return x, s.curve.ScalarBaseMult(x), nil
+	x, err := s.curve.NewSecretKey(k)
+	if err != nil {
+		return nil, ec.Point{}, err
+	}
+	return x, x.Public(), nil
 }
 
 // nonce draws n random bytes.
@@ -80,15 +86,23 @@ func (s *suite) extractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Poi
 
 // dh computes a Diffie–Hellman shared point k·Q and returns its
 // x-coordinate as the premaster secret (equation (3)).
-func (s *suite) dh(k *big.Int, q ec.Point) ([]byte, error) {
+func (s *suite) dh(k *ec.SecretKey, q ec.Point) ([]byte, error) {
 	s.m.record(PrimECPointMult, 1)
-	p := s.curve.ScalarMult(q, k)
-	if p.IsInfinity() {
+	out, err := k.ECDH(q)
+	if err != nil {
 		return nil, errors.New("core: degenerate DH shared point")
 	}
-	out := make([]byte, s.curve.ByteLen())
-	p.X.FillBytes(out)
 	return out, nil
+}
+
+// staticDH is dh under the party's long-term key, whose handle the
+// party builds once.
+func (s *suite) staticDH(self *Party, q ec.Point) ([]byte, error) {
+	k, err := self.secretKey()
+	if err != nil {
+		return nil, err
+	}
+	return s.dh(k, q)
 }
 
 // cachedCombinedDH computes the SCIANC-style single-multiplication
@@ -96,20 +110,31 @@ func (s *suite) dh(k *big.Int, q ec.Point) ([]byte, error) {
 // precomputed once per certificate epoch and therefore not charged to
 // the session. This is why SCIANC's measured per-session cost in
 // Table I is roughly one point multiplication per device.
-func (s *suite) cachedCombinedDH(k *big.Int, cert *ecqv.Certificate, cachedKQCA ec.Point) ([]byte, error) {
+//
+// The meter records that device computation. The host evaluates the
+// same point as k·Q_peer, since (k·e)·P + k·Q_CA = k·(e·P + Q_CA): a
+// public extraction (cached per peer when the party has a KeyCache)
+// and one constant-time DH, so no secret scalar meets the
+// variable-time code and no per-epoch term needs holding.
+func (s *suite) cachedCombinedDH(k *ec.SecretKey, cert *ecqv.Certificate, caPub ec.Point) ([]byte, error) {
 	s.m.record(PrimHashBytes, ecqv.EncodedSize(s.curve))
 	s.m.record(PrimECPointDecode, 1)
-	e := cert.HashToScalar()
-	ke := new(big.Int).Mul(k, e)
-	ke.Mod(ke, s.curve.N)
 	s.m.record(PrimECPointMult, 1)
 	s.m.record(PrimECPointAdd, 1)
-	p := s.curve.Add(s.curve.ScalarMult(cert.PubRecon, ke), cachedKQCA)
-	if p.IsInfinity() {
+	var q ec.Point
+	var err error
+	if s.cache != nil {
+		q, err = s.cache.ExtractPublicKey(cert, caPub)
+	} else {
+		q, err = ecqv.ExtractPublicKey(cert, caPub)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out, err := k.ECDH(q)
+	if err != nil {
 		return nil, errors.New("core: degenerate combined DH point")
 	}
-	out := make([]byte, s.curve.ByteLen())
-	p.X.FillBytes(out)
 	return out, nil
 }
 
@@ -122,16 +147,19 @@ func (s *suite) deriveSessionKeys(premaster, salt []byte) (encKey, macKey []byte
 
 // sign produces the ECDSA authentication signature of Algorithm 1 line
 // 2/4: dsign = sign(Prk, msg).
+//
+// It signs with the scalar alone: the public point, which signing never
+// reads, is not derived.
 func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
-	key, err := ecdsa.NewPrivateKey(s.curve, priv)
+	sig, err := ecdsa.SignScalar(s.curve, priv, msg)
 	if err != nil {
-		return ecdsa.Signature{}, err
+		return sig, err
 	}
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimMACBytes, 4*sha256.Size) // RFC 6979 nonce derivation
 	s.m.record(PrimECBaseMult, 1)
 	s.m.record(PrimModInverse, 1)
-	return key.Sign(msg)
+	return sig, nil
 }
 
 // verify checks an ECDSA signature under a reconstructed public key

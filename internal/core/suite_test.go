@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 
 	"repro/internal/ec"
@@ -87,11 +88,22 @@ func TestCachedCombinedDHEqualsStaticDH(t *testing.T) {
 	}
 	s, _ := newTestSuite(5)
 	curve := ec.P256()
-
-	cached := curve.ScalarMult(a.CAPub, a.Priv)
-	got, err := s.cachedCombinedDH(a.Priv, b.Cert, cached)
+	key, err := a.secretKey()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	got, err := s.cachedCombinedDH(key, b.Cert, a.CAPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The device's combined formula, evaluated on the variable-time
+	// public path (test only).
+	ke := new(big.Int).Mul(a.Priv, b.Cert.HashToScalar())
+	combined := curve.Add(curve.ScalarMult(b.Cert.PubRecon, ke), curve.ScalarMult(a.CAPub, a.Priv))
+	if !bytes.Equal(got, combined.X.FillBytes(make([]byte, curve.ByteLen()))) {
+		t.Fatal("combined DH disagrees with (d·e)·P + d·Q_CA")
 	}
 
 	// Plain path: extract Q_B then multiply.
@@ -99,7 +111,7 @@ func TestCachedCombinedDHEqualsStaticDH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.dh(a.Priv, qB)
+	want, err := s.dh(key, qB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,13 @@ func (c *Curve) fpToPoint(p *fpJac) Point {
 	f.Mul(&x, &p.x, &zinv2)
 	f.Mul(&y, &zinv2, &zinv)
 	f.Mul(&y, &p.y, &y)
-	return Point{X: f.ToBig(&x), Y: f.ToBig(&y)}
+	return c.fpAffineToPoint(&x, &y)
+}
+
+// fpAffineToPoint converts affine Montgomery-form coordinates to a
+// big.Int Point at the public API boundary.
+func (c *Curve) fpAffineToPoint(x, y *fp.Element) Point {
+	return Point{X: c.fpF.ToBig(x), Y: c.fpF.ToBig(y)}
 }
 
 // fpDouble sets p = 2p in place (dbl-2007-bl, with the a = −3 shortcut

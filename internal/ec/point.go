@@ -118,6 +118,14 @@ func (c *Curve) EncodeCompressed(p Point) []byte {
 	return out
 }
 
+// pointFromRaw builds the affine point with the fixed-width big-endian
+// coordinates X ‖ Y, unchecked: for encodings the constant-time
+// engines produced, which are on the curve by construction.
+func pointFromRaw(xy []byte) Point {
+	n := len(xy) / 2
+	return Point{X: new(big.Int).SetBytes(xy[:n]), Y: new(big.Int).SetBytes(xy[n:])}
+}
+
 // ErrInvalidPoint is returned when decoding rejects a byte string.
 var ErrInvalidPoint = errors.New("ec: invalid point encoding")
 

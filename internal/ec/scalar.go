@@ -12,6 +12,17 @@ import (
 // sampling. A nil reader selects crypto/rand.Reader; tests inject
 // deterministic readers.
 func (c *Curve) RandomScalar(rng io.Reader) (*big.Int, error) {
+	k, err := c.RandomScalarBytes(rng)
+	if err != nil {
+		return nil, err
+	}
+	return new(big.Int).SetBytes(k), nil
+}
+
+// RandomScalarBytes is RandomScalar returning the scalar as ByteLen
+// big-endian bytes, the form NewSecretKey takes. It consumes the same
+// reader bytes as RandomScalar.
+func (c *Curve) RandomScalarBytes(rng io.Reader) ([]byte, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -27,21 +38,25 @@ func (c *Curve) RandomScalar(rng io.Reader) (*big.Int, error) {
 		if excess > 0 {
 			buf[0] &= 0xff >> excess
 		}
-		k := new(big.Int).SetBytes(buf)
-		if c.checkScalarRange(k) {
-			return k, nil
+		if scalarInRange(buf, c.nBytes) {
+			return buf, nil
 		}
 	}
 	return nil, errors.New("ec: random scalar rejection sampling did not terminate")
 }
 
-// GenerateKeyPair draws a private scalar d and returns (d, d·G).
+// GenerateKeyPair draws a private scalar d and returns (d, d·G), the
+// public point computed on the constant-time secret path.
 func (c *Curve) GenerateKeyPair(rng io.Reader) (*big.Int, Point, error) {
-	d, err := c.RandomScalar(rng)
+	k, err := c.RandomScalarBytes(rng)
 	if err != nil {
 		return nil, Point{}, err
 	}
-	return d, c.ScalarBaseMult(d), nil
+	q, err := c.SecretBaseMult(k)
+	if err != nil {
+		return nil, Point{}, err
+	}
+	return new(big.Int).SetBytes(k), q, nil
 }
 
 // HashToInt converts a hash digest to an integer reduced into [0, n),

@@ -2,7 +2,7 @@ package ec
 
 import "math/big"
 
-// Scalar multiplication. Three strategies are provided:
+// Public-scalar multiplication. Three strategies are provided:
 //
 //   - ScalarMult: 5-bit wNAF with an on-the-fly odd-multiples table,
 //     used for arbitrary points (ECDH premaster, ECQV reconstruction).
@@ -13,8 +13,9 @@ import "math/big"
 // Each strategy has two implementations: the default fixed-limb
 // Montgomery backend (backend_fp.go, O(1) allocations per call) and
 // the original math/big path below, retained as a differential oracle
-// and selectable with -tags ec_purebig. All strategies are variable
-// time; see the package comment.
+// and selectable with -tags ec_purebig. All three strategies are
+// variable time, which is why they take public scalars only: secret
+// scalars use the constant-time SecretKey path (secret.go).
 
 const wnafWindow = 5 // window width; table holds 2^(w-2) odd multiples
 

@@ -67,15 +67,32 @@ func GenerateKey(c *ec.Curve, rng io.Reader) (*PrivateKey, error) {
 	return &PrivateKey{Curve: c, D: d, Q: q}, nil
 }
 
+// errPrivRange rejects a private scalar outside [1, n−1].
+var errPrivRange = errors.New("ecdsa: private scalar out of range")
+
 // NewPrivateKey wraps an existing scalar (e.g. an ECQV-reconstructed
 // private key) as a signing key, validating its range and deriving the
-// public point.
+// public point on the constant-time secret path.
 func NewPrivateKey(c *ec.Curve, d *big.Int) (*PrivateKey, error) {
 	if d == nil || d.Sign() <= 0 || d.Cmp(c.N) >= 0 {
-		return nil, errors.New("ecdsa: private scalar out of range")
+		return nil, errPrivRange
 	}
-	dd := new(big.Int).Set(d)
-	return &PrivateKey{Curve: c, D: dd, Q: c.ScalarBaseMult(dd)}, nil
+	q, err := c.SecretBaseMult(c.ScalarToBytes(d))
+	if err != nil {
+		return nil, err
+	}
+	return &PrivateKey{Curve: c, D: new(big.Int).Set(d), Q: q}, nil
+}
+
+// SignScalar signs the SHA-256 digest of msg under the private scalar
+// d, exactly as NewPrivateKey(c, d).Sign(msg) would, but without
+// deriving the public point: signing never reads Q, so a signer that
+// holds only d saves NewPrivateKey's base-point multiplication.
+func SignScalar(c *ec.Curve, d *big.Int, msg []byte) (Signature, error) {
+	if d == nil || d.Sign() <= 0 || d.Cmp(c.N) >= 0 {
+		return Signature{}, errPrivRange
+	}
+	return (&PrivateKey{Curve: c, D: d}).Sign(msg)
 }
 
 // Public returns the verification key for k.
@@ -120,8 +137,12 @@ func (k *PrivateKey) signWithNonce(e, nonce *big.Int) (Signature, error) {
 	if nonce.Sign() == 0 || nonce.Cmp(c.N) >= 0 {
 		return Signature{}, errZeroParam
 	}
-	// (x1, _) = nonce·G ; r = x1 mod n
-	p := c.ScalarBaseMult(nonce)
+	// (x1, _) = nonce·G ; r = x1 mod n. The nonce is secret: it runs
+	// on the constant-time path.
+	p, err := c.SecretBaseMult(nonce.FillBytes(make([]byte, c.ByteLen())))
+	if err != nil {
+		return Signature{}, err
+	}
 	r := new(big.Int).Mod(p.X, c.N)
 	if r.Sign() == 0 {
 		return Signature{}, errZeroParam
@@ -219,9 +240,10 @@ func DecodeRaw(c *ec.Curve, data []byte) (Signature, error) {
 // rfc6979 produces the deterministic nonce stream of RFC 6979 §3.2
 // with HMAC-SHA-256.
 type rfc6979 struct {
-	c    *ec.Curve
-	v, k []byte
-	h    func() []byte // steps the generator and returns candidate bytes
+	c     *ec.Curve
+	v, k  []byte
+	h     func() []byte // steps the generator and returns candidate bytes
+	drawn bool          // a candidate was returned; the next one needs the retry update
 }
 
 func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
@@ -261,9 +283,11 @@ func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
 }
 
 // next returns the next candidate nonce in [0, 2^qlen); the caller
-// rejects values outside [1, n−1].
+// rejects values outside [1, n−1]. The retry update of the generator
+// runs only when a candidate was rejected, i.e. before every candidate
+// but the first, since the first is almost always accepted.
 func (g *rfc6979) next() *big.Int {
-	defer func() {
+	if g.drawn {
 		// Per RFC 6979: K = HMAC_K(V ‖ 0x00); V = HMAC_K(V) before the
 		// next candidate.
 		mac := hmac.New(sha256.New, g.k)
@@ -273,7 +297,8 @@ func (g *rfc6979) next() *big.Int {
 		mac2 := hmac.New(sha256.New, g.k)
 		mac2.Write(g.v)
 		g.v = mac2.Sum(nil)
-	}()
+	}
+	g.drawn = true
 	t := g.h()
 	k := new(big.Int).SetBytes(t)
 	if excess := len(t)*8 - g.c.N.BitLen(); excess > 0 {

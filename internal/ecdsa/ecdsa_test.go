@@ -1,8 +1,10 @@
 package ecdsa
 
 import (
+	"bytes"
 	stdecdsa "crypto/ecdsa"
 	"crypto/elliptic"
+	"crypto/hmac"
 	"crypto/sha256"
 	"math/big"
 	"math/rand"
@@ -286,5 +288,67 @@ func TestQuickSignVerify(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 24}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSignScalarMatchesPrivateKey(t *testing.T) {
+	for _, c := range ec.Curves() {
+		key, err := GenerateKey(c, newDetRand(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("sign without deriving Q")
+		want, err := key.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SignScalar(c, key.D, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.R.Cmp(want.R) != 0 || got.S.Cmp(want.S) != 0 {
+			t.Fatalf("%s: SignScalar differs from PrivateKey.Sign", c.Name)
+		}
+		for _, d := range []*big.Int{nil, big.NewInt(0), big.NewInt(-1), new(big.Int).Set(c.N)} {
+			if _, err := SignScalar(c, d, msg); err == nil {
+				t.Errorf("%s: SignScalar accepted out-of-range d=%v", c.Name, d)
+			}
+		}
+	}
+}
+
+// TestRFC6979RetrySequence pins the candidate stream against RFC 6979
+// §3.2 step h written out eagerly, update after every candidate: the
+// lazy generator must yield the same candidates when some are
+// rejected.
+func TestRFC6979RetrySequence(t *testing.T) {
+	c := ec.P256()
+	priv := big.NewInt(0xc0ffee)
+	digest := sha256.Sum256([]byte("retry"))
+	mac := func(key []byte, parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, key)
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)
+	}
+	x := c.ScalarToBytes(priv)
+	h1 := c.ScalarToBytes(c.HashToInt(digest[:]))
+	v := bytes.Repeat([]byte{0x01}, sha256.Size)
+	k := make([]byte, sha256.Size)
+	k = mac(k, v, []byte{0x00}, x, h1)
+	v = mac(k, v)
+	k = mac(k, v, []byte{0x01}, x, h1)
+	v = mac(k, v)
+
+	gen := newRFC6979(c, priv, digest[:])
+	for i := 0; i < 4; i++ {
+		v = mac(k, v)
+		want := new(big.Int).SetBytes(v) // qlen = hlen = 256 on P-256
+		if got := gen.next(); got.Cmp(want) != 0 {
+			t.Fatalf("candidate %d: got %x, want %x", i, got, want)
+		}
+		k = mac(k, v, []byte{0x00})
+		v = mac(k, v)
 	}
 }

@@ -85,12 +85,16 @@ type RequestSecret struct {
 // NewRequest draws the request secret k_U and returns the request pair.
 // A nil rng selects crypto/rand.
 func NewRequest(curve *ec.Curve, subjectID ID, rng io.Reader) (Request, *RequestSecret, error) {
-	k, err := curve.RandomScalar(rng)
+	k, err := curve.RandomScalarBytes(rng)
 	if err != nil {
 		return Request{}, nil, fmt.Errorf("ecqv: request: %w", err)
 	}
-	return Request{SubjectID: subjectID, R: curve.ScalarBaseMult(k)},
-		&RequestSecret{curve: curve, k: k}, nil
+	r, err := curve.SecretBaseMult(k)
+	if err != nil {
+		return Request{}, nil, fmt.Errorf("ecqv: request: %w", err)
+	}
+	return Request{SubjectID: subjectID, R: r},
+		&RequestSecret{curve: curve, k: new(big.Int).SetBytes(k)}, nil
 }
 
 // Response is the CA's answer: the certificate plus the private-key
@@ -134,11 +138,15 @@ func NewCAFromKey(curve *ec.Curve, id ID, priv *big.Int, nextSerial uint64, rng 
 		return nil, errors.New("ecqv: CA private key out of range")
 	}
 	d := new(big.Int).Set(priv)
+	pub, err := curve.SecretBaseMult(curve.ScalarToBytes(d))
+	if err != nil {
+		return nil, fmt.Errorf("ecqv: CA key: %w", err)
+	}
 	if nextSerial == 0 {
 		nextSerial = 1
 	}
 	return &CA{
-		Curve: curve, ID: id, priv: d, pub: curve.ScalarBaseMult(d),
+		Curve: curve, ID: id, priv: d, pub: pub,
 		rand: rng, nextSerial: nextSerial,
 	}, nil
 }
@@ -156,10 +164,10 @@ func (ca *CA) NextSerial() uint64 {
 
 // randomScalar draws an issuance nonce under the CA lock, so
 // concurrent issuances never race on the randomness source.
-func (ca *CA) randomScalar() (*big.Int, error) {
+func (ca *CA) randomScalar() ([]byte, error) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
-	return ca.Curve.RandomScalar(ca.rand)
+	return ca.Curve.RandomScalarBytes(ca.rand)
 }
 
 // takeSerial allocates the next certificate serial.
@@ -221,7 +229,12 @@ func (ca *CA) Issue(req Request, params IssueParams) (*Response, error) {
 			ca.returnSerial(serial)
 			return nil, fmt.Errorf("ecqv: issuance nonce: %w", err)
 		}
-		pu := ca.Curve.Add(req.R, ca.Curve.ScalarBaseMult(k))
+		kg, err := ca.Curve.SecretBaseMult(k)
+		if err != nil {
+			ca.returnSerial(serial)
+			return nil, fmt.Errorf("ecqv: issuance nonce: %w", err)
+		}
+		pu := ca.Curve.Add(req.R, kg)
 		if pu.IsInfinity() {
 			continue // R_U = −k·G; astronomically unlikely, retry
 		}
@@ -240,7 +253,7 @@ func (ca *CA) Issue(req Request, params IssueParams) (*Response, error) {
 		if e.Sign() == 0 {
 			continue // H_n(Cert) ≡ 0 would erase the subject's key share
 		}
-		r := new(big.Int).Mul(e, k)
+		r := new(big.Int).Mul(e, new(big.Int).SetBytes(k))
 		r.Add(r, ca.priv)
 		r.Mod(r, ca.Curve.N)
 
@@ -251,8 +264,9 @@ func (ca *CA) Issue(req Request, params IssueParams) (*Response, error) {
 }
 
 // IssueBatch amortizes issuance over many requests: the per-curve
-// base-point table is warmed once up front (so workers share the
-// cached precomputation instead of serializing on its lazy build), and
+// comb table, which the P-224/P-192 secret-scalar ladder reads, is
+// warmed once up front (so workers share the cached precomputation
+// instead of serializing on its lazy build), and
 // the heavy point arithmetic fans out over a pool of at most
 // parallelism workers (GOMAXPROCS when ≤ 0). Responses align with
 // reqs; per-request failures are joined into the returned error while
@@ -305,7 +319,11 @@ func ReconstructPrivateKey(sec *RequestSecret, resp *Response, caPub ec.Point) (
 	if err != nil {
 		return nil, ec.Point{}, err
 	}
-	if !curve.ScalarBaseMult(d).Equal(q) {
+	dg, err := curve.SecretBaseMult(curve.ScalarToBytes(d))
+	if err != nil {
+		return nil, ec.Point{}, err
+	}
+	if !dg.Equal(q) {
 		return nil, ec.Point{}, errors.New("ecqv: reconstructed key does not match certificate")
 	}
 	return d, q, nil
