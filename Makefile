@@ -35,9 +35,10 @@ race-parallel:
 
 # The math/big oracle backend — the differential reference for the
 # fixed-limb fp backend — must stay green (used by CI), and so must
+# ECDSA verification (the oracle of the P-256 crypto/ecdsa engine) and
 # the STS engine running on it.
 test-purebig:
-	$(GO) test -tags ec_purebig ./internal/ec/... ./internal/core/...
+	$(GO) test -tags ec_purebig ./internal/ec/... ./internal/ecdsa/... ./internal/core/...
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
@@ -60,25 +61,24 @@ bench-compare:
 	fi
 
 # Scalar-mult ablation with allocation counts plus the hard per-op
-# allocation budgets on the fp backend (used by CI; fails on regression
-# into per-digit heap allocation). The ScalarMult and VerifyBatch
-# gates ride together: both guard the same fixed-limb no-alloc
-# contract, one per-op and one per-batched-item. The secret-path gate
-# bounds the constant-time base mult and DH every handshake runs.
+# allocation budgets (used by CI; fails on regression into per-digit
+# heap allocation). The ScalarMult gate guards the fixed-limb no-alloc
+# contract; the secret-path gate bounds the constant-time base mult and
+# DH every handshake runs; the verify gate bounds a P-256 verification
+# against a KeyCache-held key, the handshake's other public-key op.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget|TestSecretAllocBudget' -v ./internal/ec/
-	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestVerifyAllocBudget' -v ./internal/core/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs CIOS Mul, Montgomery-
-# trick BatchInv vs sequential Fermat inversions, wave VerifyBatch vs
-# N independent Verifies, and the shared-inversion table build.
-# Summarized by benchstat when installed.
-BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMultTableBuild|BenchmarkBatchNormalize
+# trick BatchInv vs sequential Fermat inversions, and the
+# shared-inversion table build. Summarized by benchstat when installed.
+BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkMultTableBuild
 bench-batch:
 	$(GO) test -run='^$$' -bench='$(BENCH_BATCH)' -benchmem -count=$(BENCH_COUNT) \
-		./internal/ec/... ./internal/ecdsa/ | tee bench-batch.txt
+		./internal/ec/... | tee bench-batch.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat bench-batch.txt; \
 	else \
@@ -223,14 +223,16 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers (committed corpora under
-# testdata/fuzz replay in every plain `go test` run; this target digs
-# further — used by CI with a short budget, locally run longer).
+# Brief fuzzing of the protocol parsers and of P-256 ECDSA verification
+# against its in-repo oracle (committed corpora under testdata/fuzz
+# replay in every plain `go test` run; this target digs further — used
+# by CI with a short budget, locally run longer).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/cantp -fuzz FuzzReceiverPush -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cantp -fuzz FuzzFlowControlParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyDigest -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

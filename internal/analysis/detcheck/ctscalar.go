@@ -27,12 +27,11 @@ import (
 //  2. Everywhere except internal/security (whose attack models
 //     compute with stolen keys on purpose), no secret scalar may reach
 //     the variable-time multiplications: the ScalarMult, ScalarBaseMult,
-//     ScalarMultNaive, CombinedMult and CombinedMultDeferred methods of
-//     Curve and MultTable. Secrets are private-key fields (Priv, priv,
-//     D, k), parameters named priv, d, k, x or nonce, and the results
-//     of RandomScalar, RandomScalarBytes and GenerateKeyPair, all of
-//     type *big.Int or []byte, followed through the assignments of one
-//     function.
+//     ScalarMultNaive and CombinedMult methods of Curve and MultTable.
+//     Secrets are private-key fields (Priv, priv, D, k), parameters
+//     named priv, d, k, x or nonce, and the results of RandomScalar,
+//     RandomScalarBytes and GenerateKeyPair, all of type *big.Int or
+//     []byte, followed through the assignments of one function.
 //
 // Both rules are per package and under-approximate: calls through
 // interfaces or function values add no edge, and rule 2 does not
@@ -76,16 +75,14 @@ var ctscalarExempt = map[string]bool{
 // scalar arguments.
 var variableTimeMults = map[string]map[string][]int{
 	"Curve": {
-		"ScalarMult":           {1},
-		"ScalarBaseMult":       {0},
-		"ScalarMultNaive":      {1},
-		"CombinedMult":         {1, 2},
-		"CombinedMultDeferred": {1, 2},
+		"ScalarMult":      {1},
+		"ScalarBaseMult":  {0},
+		"ScalarMultNaive": {1},
+		"CombinedMult":    {1, 2},
 	},
 	"MultTable": {
-		"ScalarMult":           {0},
-		"CombinedMult":         {0, 1},
-		"CombinedMultDeferred": {0, 1},
+		"ScalarMult":   {0},
+		"CombinedMult": {0, 1},
 	},
 }
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// Hotpath is the static counterpart of the EC allocation budgets
-// (the 24-alloc ScalarMult and 48-alloc-per-item VerifyBatch CI
-// gates). In internal/ec and internal/ec/fp it enforces two rules:
+// Hotpath is the static counterpart of the EC allocation budget (the
+// 24-alloc ScalarMult CI gate). In internal/ec and internal/ec/fp it
+// enforces two rules:
 //
 //  1. math/big stays inside the approved boundary-conversion files —
 //     the public big.Int API, the affine boundary, and the math/big
@@ -23,11 +23,10 @@ import (
 //     //detlint:allow hotpath annotations stating their O(1) cost.
 //
 //  2. Functions on the hot call graph — everything that can run under
-//     ScalarMult, ScalarBaseMult, CombinedMult(Deferred),
-//     BatchNormalize, VerifyBatch or the fp field ops — must not call
-//     fmt or box concrete values into interfaces: both allocate, and
-//     the budgets exist precisely to keep the per-op allocation count
-//     fixed and small.
+//     ScalarMult, ScalarBaseMult, CombinedMult or the fp field ops —
+//     must not call fmt or box concrete values into interfaces: both
+//     allocate, and the budgets exist precisely to keep the per-op
+//     allocation count fixed and small.
 //
 // Files selected only by the ec_purebig build tag (the differential
 // oracle backend) never reach this check: the loader follows the
@@ -35,7 +34,7 @@ import (
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "flags math/big outside the approved boundary files and fmt/interface-boxing " +
-		"on the ScalarMult/VerifyBatch call graph in internal/ec and internal/ec/fp; " +
+		"on the ScalarMult/CombinedMult call graph in internal/ec and internal/ec/fp; " +
 		"the static counterpart of the allocation-budget CI gates",
 	Run: runHotpath,
 }
@@ -66,22 +65,19 @@ var approvedBigFiles = map[string]bool{
 }
 
 // hotpathRoots name the entry points of the hot call graph, across
-// both packages: the scalar-multiplication and batch-verification
-// API in ec, and the field operations in fp.
+// both packages: the scalar-multiplication API in ec, and the field
+// operations in fp.
 var hotpathRoots = map[string]bool{
-	"ScalarMult":           true,
-	"ScalarBaseMult":       true,
-	"CombinedMult":         true,
-	"CombinedMultDeferred": true,
-	"BatchNormalize":       true,
-	"VerifyBatch":          true,
-	"Mul":                  true,
-	"Sqr":                  true,
-	"Add":                  true,
-	"Sub":                  true,
-	"Neg":                  true,
-	"Inv":                  true,
-	"BatchInv":             true,
+	"ScalarMult":     true,
+	"ScalarBaseMult": true,
+	"CombinedMult":   true,
+	"Mul":            true,
+	"Sqr":            true,
+	"Add":            true,
+	"Sub":            true,
+	"Neg":            true,
+	"Inv":            true,
+	"BatchInv":       true,
 }
 
 func runHotpath(pass *analysis.Pass) error {

@@ -12,10 +12,12 @@ import (
 
 // KeyCache memoizes the per-peer public-key work of repeated session
 // establishments: the ECQV public-key extraction (one ScalarMult + Add
-// per certificate) and the precomputed odd-multiples table that ECDSA
-// verification multiplies against. A device that re-keys against the
-// same static peer — the fleet steady state — pays the extraction and
-// the table build once per peer instead of once per handshake.
+// per certificate) and the verification key, which on P-224 and P-192
+// carries the precomputed odd-multiples table that ECDSA verification
+// multiplies against (P-256 verifies on crypto/ecdsa and needs no
+// table). A device that re-keys against the same static peer — the
+// fleet steady state — pays the extraction and the table build once
+// per peer instead of once per handshake.
 //
 // The cache holds derived public data only (no secrets) and is safe
 // for concurrent use. Entries are keyed by the certificate's
@@ -36,10 +38,6 @@ type KeyCache struct {
 	// gateway, wave initiator) are built once per process instead of
 	// once per party. Never nil.
 	shared *SharedTableCache
-
-	// wave batches this party's concurrently in-flight verifications
-	// into ecdsa.VerifyBatch rounds.
-	wave waveVerifier
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -78,10 +76,10 @@ type CacheStats struct {
 	// the fleet-global SharedTableCache instead of building one.
 	SharedHits int
 
-	// WaveBatches/WaveItems account the group-commit verification:
-	// WaveItems verifications served through WaveBatches VerifyBatch
-	// rounds. WaveItems − WaveBatches is the number of shared-inversion
-	// opportunities actually taken.
+	// WaveBatches and WaveItems are always 0: they counted the rounds
+	// and items of the batch verifier, which was removed because it
+	// only ever formed batches of one. They remain for readers of
+	// this struct and go with the next change to those readers.
 	WaveBatches int
 	WaveItems   int
 }
@@ -89,17 +87,10 @@ type CacheStats struct {
 // Stats returns the hit/miss counters.
 func (kc *KeyCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        int(kc.hits.Load()),
-		Misses:      int(kc.misses.Load()),
-		SharedHits:  int(kc.sharedHits.Load()),
-		WaveBatches: int(kc.wave.batches.Load()),
-		WaveItems:   int(kc.wave.items.Load()),
+		Hits:       int(kc.hits.Load()),
+		Misses:     int(kc.misses.Load()),
+		SharedHits: int(kc.sharedHits.Load()),
 	}
-}
-
-// verifyWave routes one verification through the group-commit batcher.
-func (kc *KeyCache) verifyWave(pub *ecdsa.PublicKey, digest []byte, sig ecdsa.Signature) bool {
-	return kc.wave.verify(pub, digest, sig)
 }
 
 // certFingerprint binds a cache key to the exact certificate bytes and
@@ -148,9 +139,10 @@ func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec
 	return q, nil
 }
 
-// Verifier returns an ECDSA verification key for q with its
-// odd-multiples table precomputed, building and caching it on first
-// use. The returned key is shared and must be treated as immutable.
+// Verifier returns an ECDSA verification key for q, precomputed
+// (ecdsa.PublicKey.Precompute: the odd-multiples table on P-224 and
+// P-192, nothing on P-256), building and caching it on first use. The
+// returned key is shared and must be treated as immutable.
 func (kc *KeyCache) Verifier(c *ec.Curve, q ec.Point) *ecdsa.PublicKey {
 	fp := pointFingerprint(c, q)
 	kc.mu.RLock()

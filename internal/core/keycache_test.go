@@ -1,12 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
 	"math/big"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/ec"
+	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
 )
 
@@ -143,5 +145,38 @@ func TestCacheDoesNotPerturbTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.Trace.Events, warm.Trace.Events) {
 		t.Fatal("trace event streams differ between cold and warm cache runs")
+	}
+}
+
+// verifyAllocBudget is the ceiling on heap allocations of one P-256
+// verification against a KeyCache-held key, the handshake's steady
+// state. It includes crypto/ecdsa's own allocations (signature and
+// point encodings, its bigmod scratch) and is 1.5× the 30 measured on
+// Go 1.24, on either EC backend.
+const verifyAllocBudget = 45
+
+func TestVerifyAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget needs steady-state measurement")
+	}
+	c := ec.P256()
+	key, err := ecdsa.GenerateKey(c, newDetRand(405))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := sha256.Sum256([]byte("alloc budget"))
+	sig, err := key.SignDigest(digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := NewKeyCache().Verifier(c, key.Q)
+	avg := testing.AllocsPerRun(20, func() {
+		if !pub.VerifyDigest(digest[:], sig) {
+			t.Fatal("valid signature rejected")
+		}
+	})
+	t.Logf("P-256 VerifyDigest: %.0f allocs/op (budget %d)", avg, verifyAllocBudget)
+	if avg > verifyAllocBudget {
+		t.Fatalf("P-256 VerifyDigest allocates %.0f/op, budget %d", avg, verifyAllocBudget)
 	}
 }

@@ -10,6 +10,20 @@ import (
 	"repro/internal/ecdsa"
 )
 
+// The shared-table tests run on P-224: P-256 verifies on crypto/ecdsa
+// and its verification keys carry no table.
+
+// p224Point returns a fixed P-224 point.
+func p224Point(t *testing.T) ec.Point {
+	t.Helper()
+	c := ec.P224()
+	k, err := c.RandomScalar(newDetRand(78))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.ScalarBaseMult(k)
+}
+
 // TestSharedTableCacheDedup: two parties' key caches backed by one
 // shared level build a given verifier table exactly once — the second
 // party adopts the first's instance.
@@ -17,8 +31,8 @@ func TestSharedTableCacheDedup(t *testing.T) {
 	stc := NewSharedTableCache()
 	kc1 := NewKeyCacheWithShared(stc)
 	kc2 := NewKeyCacheWithShared(stc)
-	c := ec.P256()
-	q := c.ScalarBaseMult(randInt(t))
+	c := ec.P224()
+	q := p224Point(t)
 
 	p1 := kc1.Verifier(c, q)
 	p2 := kc2.Verifier(c, q)
@@ -46,8 +60,8 @@ func TestSharedTableCacheDedup(t *testing.T) {
 // fingerprint converge on a single instance.
 func TestSharedTableCacheConcurrentPublish(t *testing.T) {
 	stc := NewSharedTableCache()
-	c := ec.P256()
-	q := c.ScalarBaseMult(randInt(t))
+	c := ec.P224()
+	q := p224Point(t)
 	fp := pointFingerprint(c, q)
 
 	results := make([]*ecdsa.PublicKey, 16)
@@ -75,7 +89,7 @@ func TestSharedTableCacheConcurrentPublish(t *testing.T) {
 // growing without bound.
 func TestSharedTableCacheBound(t *testing.T) {
 	stc := NewSharedTableCache()
-	c := ec.P256()
+	c := ec.P224()
 	pub := (&ecdsa.PublicKey{Curve: c, Q: c.Generator()}).Precompute()
 	for i := 0; i < sharedTableMaxEntries+10; i++ {
 		var fp [32]byte
@@ -88,98 +102,46 @@ func TestSharedTableCacheBound(t *testing.T) {
 	}
 }
 
-func waveFixture(t *testing.T, n int) (*KeyCache, []*ecdsa.PublicKey, [][]byte, []ecdsa.Signature) {
-	t.Helper()
-	kc := NewKeyCacheWithShared(NewSharedTableCache())
-	c := ec.P256()
-	rng := newDetRand(611)
-	pubs := make([]*ecdsa.PublicKey, n)
-	digests := make([][]byte, n)
-	sigs := make([]ecdsa.Signature, n)
-	for i := 0; i < n; i++ {
-		key, err := ecdsa.GenerateKey(c, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := sha256.Sum256([]byte(fmt.Sprintf("wave msg %d", i)))
-		sig, err := key.SignDigest(d[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pubs[i] = kc.Verifier(c, key.Q)
-		digests[i] = d[:]
-		sigs[i] = sig
-	}
-	return kc, pubs, digests, sigs
-}
-
-// TestWaveVerifierSerial: a lone verification is a batch of one with
-// the plain-Verify verdict, and the counters account it.
-func TestWaveVerifierSerial(t *testing.T) {
-	kc, pubs, digests, sigs := waveFixture(t, 2)
-	if !kc.verifyWave(pubs[0], digests[0], sigs[0]) {
-		t.Fatal("valid signature rejected")
-	}
-	if kc.verifyWave(pubs[0], digests[0], sigs[1]) {
-		t.Fatal("mismatched signature accepted")
-	}
-	st := kc.Stats()
-	if st.WaveBatches != 2 || st.WaveItems != 2 {
-		t.Fatalf("wave stats = %+v, want 2 batches / 2 items", st)
-	}
-}
-
-// TestWaveVerifierConcurrent: many goroutines verifying through one
-// cache all get their individual verdicts (mixed valid and corrupted),
-// and the counters reconcile: items == verifications, batches ≤ items.
-func TestWaveVerifierConcurrent(t *testing.T) {
+// TestKeyCacheVerifyConcurrent: many goroutines verifying through one
+// cache's shared verification keys, valid and corrupted signatures
+// mixed, all get their own verdicts — on P-256 (crypto/ecdsa) and on
+// P-224 (the shared table).
+func TestKeyCacheVerifyConcurrent(t *testing.T) {
 	const n = 8
-	const rounds = 25
-	kc, pubs, digests, sigs := waveFixture(t, n)
-
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				// Even rounds: valid pair. Odd rounds: signature from the
-				// next key — must fail.
-				if r%2 == 0 {
-					if !kc.verifyWave(pubs[g], digests[g], sigs[g]) {
-						t.Errorf("goroutine %d round %d: valid rejected", g, r)
-						return
-					}
-				} else {
-					if kc.verifyWave(pubs[g], digests[g], sigs[(g+1)%n]) {
-						t.Errorf("goroutine %d round %d: invalid accepted", g, r)
+	const rounds = 10
+	for _, c := range []*ec.Curve{ec.P256(), ec.P224()} {
+		kc := NewKeyCacheWithShared(NewSharedTableCache())
+		rng := newDetRand(611)
+		qs := make([]ec.Point, n)
+		msgs := make([][]byte, n)
+		sigs := make([]ecdsa.Signature, n)
+		for i := range qs {
+			key, err := ecdsa.GenerateKey(c, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs[i] = []byte(fmt.Sprintf("verify msg %d", i))
+			if sigs[i], err = key.Sign(msgs[i]); err != nil {
+				t.Fatal(err)
+			}
+			qs[i] = key.Q
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					// Even rounds: valid pair. Odd rounds: the next key's
+					// signature — must fail.
+					pub := kc.Verifier(c, qs[g])
+					if got, want := pub.Verify(msgs[g], sigs[(g+r%2)%n]), r%2 == 0; got != want {
+						t.Errorf("%s goroutine %d round %d: verdict %v, want %v", c.Name, g, r, got, want)
 						return
 					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := kc.Stats()
-	if st.WaveItems != n*rounds {
-		t.Fatalf("WaveItems = %d, want %d", st.WaveItems, n*rounds)
-	}
-	if st.WaveBatches == 0 || st.WaveBatches > st.WaveItems {
-		t.Fatalf("WaveBatches = %d out of range (items %d)", st.WaveBatches, st.WaveItems)
-	}
-}
-
-// TestHandshakeWaveAccounting: a real STS handshake routes its
-// signature verifications through the wave batcher.
-func TestHandshakeWaveAccounting(t *testing.T) {
-	_, a, b := newTestPair(t, 612)
-	if _, err := NewSTS(OptII).Run(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if st := a.KeyCache().Stats(); st.WaveItems == 0 {
-		t.Fatalf("initiator verifications bypassed the wave batcher: %+v", st)
-	}
-	if st := b.KeyCache().Stats(); st.WaveItems == 0 {
-		t.Fatalf("responder verifications bypassed the wave batcher: %+v", st)
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -163,23 +163,17 @@ func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
 }
 
 // verify checks an ECDSA signature under a reconstructed public key
-// (Algorithm 2 line 3). With a cache attached the check rides the
-// party's wave batcher: concurrent EstablishAll verifications share
-// scalar and field inversions through ecdsa.VerifyBatch, with
-// per-item results guaranteed identical to a lone Verify. The meter
-// is unaffected either way — it records the primitives the modelled
-// device executes, which never batches across peers.
+// (Algorithm 2 line 3), with the cached verification key when a cache
+// is attached. The meter records the primitives the modelled device
+// executes, whichever engine the host verifies on.
 func (s *suite) verify(q ec.Point, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimModInverse, 1)
 	s.m.record(PrimECCombinedMult, 1)
 	if s.cache != nil {
-		pub := s.cache.Verifier(s.curve, q) // precomputed odd-multiples table
-		digest := sha256.Sum256(msg)
-		return s.cache.verifyWave(pub, digest[:], sig)
+		return s.cache.Verifier(s.curve, q).Verify(msg, sig)
 	}
-	pub := &ecdsa.PublicKey{Curve: s.curve, Q: q}
-	return pub.Verify(msg, sig)
+	return (&ecdsa.PublicKey{Curve: s.curve, Q: q}).Verify(msg, sig)
 }
 
 // mac computes HMAC-SHA-256 over msg.

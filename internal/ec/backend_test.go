@@ -331,3 +331,16 @@ func BenchmarkMultTableCombinedMult(b *testing.B) {
 		tab.CombinedMult(u1, u2)
 	}
 }
+
+// BenchmarkMultTableBuild measures the cost the SharedTableCache
+// amortizes away fleet-wide: one odd-multiples precomputation plus one
+// shared-inversion affine conversion.
+func BenchmarkMultTableBuild(b *testing.B) {
+	c := P256()
+	q := c.ScalarBaseMult(big.NewInt(0x5eed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = c.NewMultTable(q)
+	}
+}

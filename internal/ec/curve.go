@@ -13,14 +13,18 @@
 // SecretBaseMult, which run in constant time: crypto/ecdh on P-256,
 // and a fixed-window ladder with complete formulas and masked table
 // selects on P-224 and P-192 (secret.go). Public scalars (ECQV
-// extraction, ECDSA verification) use ScalarMult, ScalarBaseMult,
-// CombinedMult and MultTable: wNAF and comb code that is faster but
-// branches and indexes on scalar bits, so variable time. The package
+// extraction, ECDSA verification on P-224 and P-192) use ScalarMult,
+// ScalarBaseMult, CombinedMult and MultTable: wNAF and comb code that
+// is faster but branches and indexes on scalar bits, so variable
+// time. On P-256 the standard library serves verification and point
+// decompression (StdlibCurve); the in-repo code stays their
+// differential oracle. The package
 // is a research/simulation substrate, not audited production
 // cryptography.
 package ec
 
 import (
+	"crypto/elliptic"
 	"fmt"
 	"math/big"
 	"sync"
@@ -67,6 +71,10 @@ type Curve struct {
 	nBytes []byte
 	secret secretMult
 
+	// stdlib is the crypto/elliptic twin that serves the curve's
+	// public-key work (StdlibCurve); nil but on P-256.
+	stdlib elliptic.Curve
+
 	// comb is the lazily built fixed-base comb table for ScalarBaseMult
 	// (one row of 15 affine points per 4-bit scalar window).
 	combOnce sync.Once
@@ -82,6 +90,12 @@ func (c *Curve) useFP() bool { return !useBigBackend && c.fpF != nil }
 // gates in dependent packages only apply to the fp backend; the
 // math/big oracle allocates freely by design.
 func UsesFPBackend() bool { return !useBigBackend }
+
+// StdlibCurve returns the crypto/elliptic curve through which the
+// standard library's assembly serves this curve's public-key work —
+// point decompression here, ECDSA verification in internal/ecdsa — or
+// nil when the in-repo code serves it. Only P-256 has one.
+func (c *Curve) StdlibCurve() elliptic.Curve { return c.stdlib }
 
 // ByteLen returns the length in bytes of a serialized field element
 // (and therefore of a coordinate or scalar) on this curve.
@@ -120,6 +134,9 @@ func newCurve(name string, p, a, b, gx, gy, n string, h, bits int) *Curve {
 	}
 	c.nBytes = c.N.FillBytes(make([]byte, c.byteLen))
 	c.secret = secretMultFor(c)
+	if name == "secp256r1" {
+		c.stdlib = elliptic.P256()
+	}
 	return c
 }
 

@@ -88,7 +88,8 @@ func (t *MultTable) ScalarMult(k *big.Int) Point {
 }
 
 // CombinedMult returns u1·G + u2·Q using the cached table for the Q
-// term — the steady-state ECDSA-verify path against a known signer.
+// term — the steady-state ECDSA-verify path against a known signer on
+// P-224 and P-192.
 //
 //detlint:allow hotpath scalar reduction mod N at the public big.Int boundary: two O(1) allocs before the limb-pure loop
 func (t *MultTable) CombinedMult(u1, u2 *big.Int) Point {

@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"crypto/elliptic"
 	"errors"
 	"fmt"
 	"math/big"
@@ -157,6 +158,13 @@ func (c *Curve) DecodePoint(data []byte) (Point, error) {
 		if len(data) != 1+c.byteLen {
 			return Point{}, fmt.Errorf("%w: length %d for compressed %s point",
 				ErrInvalidPoint, len(data), c.Name)
+		}
+		if c.stdlib != nil {
+			x, y := elliptic.UnmarshalCompressed(c.stdlib, data)
+			if x == nil {
+				return Point{}, fmt.Errorf("%w: x has no %s point", ErrInvalidPoint, c.Name)
+			}
+			return Point{X: x, Y: y}, nil
 		}
 		x := new(big.Int).SetBytes(data[1:])
 		if x.Cmp(c.P) >= 0 {

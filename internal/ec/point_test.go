@@ -2,6 +2,7 @@ package ec
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -240,5 +241,98 @@ func TestPointClone(t *testing.T) {
 	}
 	if !Infinity().Clone().IsInfinity() {
 		t.Error("Clone of infinity must stay infinity")
+	}
+}
+
+// liftOnly returns a copy of c that decompresses through liftX, never
+// through crypto/elliptic.
+func liftOnly(c *Curve) *Curve {
+	h := func(v *big.Int) string { return v.Text(16) }
+	l := newCurve(c.Name, h(c.P), h(c.A), h(c.B), h(c.Gx), h(c.Gy), h(c.N), c.H, c.BitSize)
+	l.stdlib = nil
+	return l
+}
+
+// TestDecodeCompressedStdlibMatchesLift: P-256 decompression through
+// crypto/elliptic returns exactly what the liftX path returns — the
+// same point, or an ErrInvalidPoint error from both.
+func TestDecodeCompressedStdlibMatchesLift(t *testing.T) {
+	c := P256()
+	if c.stdlib == nil {
+		t.Fatal("P-256 does not decompress through crypto/elliptic")
+	}
+	lift := liftOnly(c)
+	size := c.CompressedPointSize()
+	compressed := func(prefix byte, x *big.Int) []byte {
+		out := make([]byte, size)
+		out[0] = prefix
+		x.FillBytes(out[1:])
+		return out
+	}
+
+	var inputs [][]byte
+	rng := newDetRand(44)
+	for i := 0; i < 64; i++ {
+		enc := c.EncodeCompressed(randPoint(t, c, rng))
+		flip := append([]byte{}, enc...)
+		flip[0] ^= 0x01 // the other parity: −P
+		inputs = append(inputs, enc, flip)
+	}
+	for _, prefix := range []byte{0x02, 0x03} {
+		// x ≥ p, including the largest x that still fits.
+		inputs = append(inputs,
+			compressed(prefix, c.P),
+			compressed(prefix, new(big.Int).Add(c.P, big.NewInt(1))),
+			compressed(prefix, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))))
+		// Small x, residues and non-residues alike, and x = 0.
+		for x := int64(0); x < 16; x++ {
+			inputs = append(inputs, compressed(prefix, big.NewInt(x)))
+		}
+		// Wrong lengths.
+		g := compressed(prefix, c.Gx)
+		inputs = append(inputs, g[:size-1], append(g, 0x00), []byte{prefix})
+	}
+	nonResidue := false
+	for i, data := range inputs {
+		got, gotErr := c.DecodePoint(data)
+		want, wantErr := lift.DecodePoint(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("input %d (%x): stdlib err %v, lift err %v", i, data, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if !errors.Is(gotErr, ErrInvalidPoint) {
+				t.Fatalf("input %d (%x): %v does not wrap ErrInvalidPoint", i, data, gotErr)
+			}
+			if len(data) == size && new(big.Int).SetBytes(data[1:]).Cmp(c.P) < 0 {
+				nonResidue = true
+			}
+			continue
+		}
+		if !got.Equal(want) || !c.IsOnCurve(got) {
+			t.Fatalf("input %d (%x): stdlib %v, lift %v", i, data, got, want)
+		}
+	}
+	if !nonResidue {
+		t.Fatal("no non-residue x among the inputs")
+	}
+}
+
+// BenchmarkDecodeCompressed times P-256 decompression, the first step
+// of every ECQV certificate decode: crypto/elliptic against liftX.
+func BenchmarkDecodeCompressed(b *testing.B) {
+	c := P256()
+	enc := c.EncodeCompressed(c.ScalarBaseMult(big.NewInt(0x5eed)))
+	for _, bc := range []struct {
+		name  string
+		curve *Curve
+	}{{"crypto-elliptic", c}, {"liftX", liftOnly(c)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.curve.DecodePoint(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,8 @@ import "math/big"
 //     used for arbitrary points (ECDH premaster, ECQV reconstruction).
 //   - ScalarBaseMult: fixed-base comb over a cached per-curve table
 //     (no doublings at all on the default backend).
-//   - CombinedMult: u1·G + u2·Q, the hot path of ECDSA verification.
+//   - CombinedMult: u1·G + u2·Q, ECDSA verification on P-224 and
+//     P-192 (and the oracle of P-256's crypto/ecdsa verification).
 //
 // Each strategy has two implementations: the default fixed-limb
 // Montgomery backend (backend_fp.go, O(1) allocations per call) and
@@ -231,7 +232,8 @@ func (c *Curve) scalarBaseMultBig(k *big.Int) Point {
 	return c.fromJacobian(c.scalarMultWNAFAffine(c.baseMultiples(), kr))
 }
 
-// CombinedMult returns u1·G + u2·Q — the ECDSA verification hot path.
+// CombinedMult returns u1·G + u2·Q — the ECDSA verification path of
+// P-224 and P-192.
 // The default backend runs the u2 chain in fixed-limb wNAF and folds
 // the base term in through the comb table; the oracle path uses
 // Strauss–Shamir interleaving.
@@ -301,6 +303,11 @@ func (c *Curve) straussInterleave(u1r, u2r *big.Int, qAdd func(*jacobianPoint, i
 // odd-multiples table of Q, nearly halving the doublings of two
 // independent multiplications.
 func (c *Curve) combinedMultBigReduced(q Point, u1r, u2r *big.Int) Point {
-	qAdd := c.qTableAdd(c.oddMultiples(q, wnafWindow))
-	return c.fromJacobian(c.straussInterleave(u1r, u2r, qAdd))
+	qTable := c.oddMultiples(q, wnafWindow)
+	return c.fromJacobian(c.straussInterleave(u1r, u2r, func(acc *jacobianPoint, d int8) *jacobianPoint {
+		if d > 0 {
+			return c.jacAdd(acc, qTable[(d-1)/2])
+		}
+		return c.jacAdd(acc, c.jacNeg(qTable[(-d-1)/2]))
+	}))
 }

@@ -2,14 +2,19 @@
 // Algorithm over the internal/ec substrate, including RFC 6979
 // deterministic nonce generation and low-S normalisation.
 //
-// It exists (rather than using crypto/ecdsa) because the ECQV scheme
-// needs signatures verified against *reconstructed* public keys held as
-// raw curve points, and the protocol stack needs fixed-width raw r‖s
-// encodings for the byte-exact wire-overhead reproduction of the
-// paper's Table II.
+// Signing and the raw r‖s encoding stay in-repo: the ECQV scheme signs
+// under reconstructed private scalars, and the protocol stack needs
+// fixed-width raw signatures for the byte-exact wire-overhead
+// reproduction of the paper's Table II. Verification takes keys held
+// as raw curve points and picks its engine by curve: on P-256 it calls
+// crypto/ecdsa, the standard library's assembly implementation; on
+// P-224 and P-192 it runs CombinedMult on internal/ec, through a
+// precomputed MultTable when the key has one. The in-repo path also
+// serves as the differential oracle for the P-256 one.
 package ecdsa
 
 import (
+	stdecdsa "crypto/ecdsa"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
@@ -44,9 +49,10 @@ type PublicKey struct {
 // Precompute builds and attaches the scalar-multiplication table for
 // Q, returning the key for chaining. Call it once at construction
 // time; a PublicKey must not be shared concurrently while Precompute
-// runs.
+// runs. On P-256, which verifies on crypto/ecdsa and never reads a
+// table, it builds nothing.
 func (p *PublicKey) Precompute() *PublicKey {
-	if p.table == nil && !p.Q.IsInfinity() {
+	if p.table == nil && !p.Q.IsInfinity() && p.Curve.StdlibCurve() == nil {
 		p.table = p.Curve.NewMultTable(p.Q)
 	}
 	return p
@@ -171,8 +177,23 @@ func (p *PublicKey) Verify(msg []byte, sig Signature) bool {
 	return p.VerifyDigest(digest[:], sig)
 }
 
-// VerifyDigest checks sig over a precomputed digest.
+// VerifyDigest checks sig over a precomputed digest. It rejects a nil
+// or out-of-range r or s and a Q that is the identity or off the
+// curve, then runs the curve's engine: crypto/ecdsa on P-256,
+// CombinedMult elsewhere. Both truncate the digest as FIPS 186 does
+// (HashToInt).
 func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
+	if !p.accepts(sig) {
+		return false
+	}
+	if std := p.Curve.StdlibCurve(); std != nil {
+		return stdecdsa.Verify(&stdecdsa.PublicKey{Curve: std, X: p.Q.X, Y: p.Q.Y}, digest, sig.R, sig.S)
+	}
+	return p.verifyCombined(digest, sig)
+}
+
+// accepts runs VerifyDigest's checks on its inputs.
+func (p *PublicKey) accepts(sig Signature) bool {
 	c := p.Curve
 	if sig.R == nil || sig.S == nil {
 		return false
@@ -181,9 +202,14 @@ func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 		sig.S.Sign() <= 0 || sig.S.Cmp(c.N) >= 0 {
 		return false
 	}
-	if p.Q.IsInfinity() || !c.IsOnCurve(p.Q) {
-		return false
-	}
+	return !p.Q.IsInfinity() && c.IsOnCurve(p.Q)
+}
+
+// verifyCombined is the in-repo engine: R' = u1·G + u2·Q through
+// CombinedMult, on the precomputed table when attached. Its inputs
+// have passed accepts.
+func (p *PublicKey) verifyCombined(digest []byte, sig Signature) bool {
+	c := p.Curve
 	e := c.HashToInt(digest)
 	w := new(big.Int).ModInverse(sig.S, c.N)
 	if w == nil {
@@ -194,7 +220,6 @@ func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 	u2 := new(big.Int).Mul(sig.R, w)
 	u2.Mod(u2, c.N)
 
-	// R' = u1·G + u2·Q, through the precomputed table when attached.
 	var rp ec.Point
 	if p.table != nil {
 		rp = p.table.CombinedMult(u1, u2)
