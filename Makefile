@@ -223,15 +223,17 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers and of P-256 ECDSA verification
-# against its in-repo oracle (committed corpora under testdata/fuzz
-# replay in every plain `go test` run; this target digs further — used
-# by CI with a short budget, locally run longer).
+# Brief fuzzing of the protocol parsers, of the transport endpoint's
+# receive path and of P-256 ECDSA verification against its in-repo
+# oracle (committed corpora under testdata/fuzz replay in every plain
+# `go test` run; this target digs further — used by CI with a short
+# budget, locally run longer).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/cantp -fuzz FuzzReceiverPush -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cantp -fuzz FuzzFlowControlParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -fuzz FuzzEndpointService -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyDigest -fuzztime $(FUZZTIME)
 
 fmt:

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// ISO 15765-2 error handling: the perfect lockstep bus of the original
-// prototype never lost a frame, so Segment/Reassembler could assume
-// every FlowControl arrives and every ConsecutiveFrame lands in order.
+// ISO 15765-2 error handling: on a lossless bus Segment/Reassembler
+// alone could assume every FlowControl arrives and every
+// ConsecutiveFrame lands in order.
 // Impaired, gateway-bridged segments break both assumptions. Sender
 // (this file) and Receiver (receiver.go) are the timer-aware halves of
 // the protocol: all deadlines run on the harness's simulated clock

@@ -106,8 +106,8 @@ func buildChaos(t *testing.T, seed uint64, peers []*core.Party, drop, corrupt fl
 		lcfg, rcfg := cfg, cfg
 		lcfg.AcceptID = 0x200 + uint32(i)
 		rcfg.AcceptID = 0x100 + uint32(i)
-		local := transport.NewReliableEndpoint(w, busA.Attach(fmt.Sprintf("mgr→%s", p.ID)), 0x100+uint32(i), lcfg)
-		remote := transport.NewReliableEndpoint(w, busC.Attach(p.ID.String()), 0x200+uint32(i), rcfg)
+		local := transport.NewEndpoint(w, busA.Attach(fmt.Sprintf("mgr→%s", p.ID)), 0x100+uint32(i), lcfg)
+		remote := transport.NewEndpoint(w, busC.Attach(p.ID.String()), 0x200+uint32(i), rcfg)
 		topo.locals = append(topo.locals, local)
 		topo.remotes = append(topo.remotes, remote)
 		topo.carriers[p.ID] = &NetCarrier{Link: link, Local: local, Remote: remote, SessionID: uint16(i + 1)}

@@ -8,6 +8,7 @@ package integration
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -58,6 +59,15 @@ func (n *node) recvSTS(t *testing.T) []byte {
 	return msg.Payload
 }
 
+// newBus builds the Fig. 7 prototype's fabric: one lossless CAN-FD
+// segment on a world's clock, for endpoints with the zero Config.
+func newBus() (*transport.World, *canbus.Bus) {
+	w := transport.NewWorld(nil)
+	bus := canbus.NewBus(canbus.PrototypeRates)
+	bus.SetClock(w.Clock)
+	return w, bus
+}
+
 func timeNow() time.Time { return time.Unix(1700000000, 0) }
 
 const timeHour = time.Hour
@@ -72,9 +82,9 @@ func setup(t *testing.T, seed int64) (*node, *node, *canbus.Bus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := canbus.NewBus(canbus.PrototypeRates)
-	return &node{party: pa, ep: transport.NewEndpoint(bus.Attach("evcc"), 0x101)},
-		&node{party: pb, ep: transport.NewEndpoint(bus.Attach("bms"), 0x102)},
+	w, bus := newBus()
+	return &node{party: pa, ep: transport.NewEndpoint(w, bus.Attach("evcc"), 0x101, transport.Config{})},
+		&node{party: pb, ep: transport.NewEndpoint(w, bus.Attach("bms"), 0x102, transport.Config{})},
 		bus
 }
 
@@ -174,53 +184,67 @@ func TestLiveSessionRecordsOverCANFD(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < 5; i++ {
-		telemetry := []byte{0xCA, byte(i), 0xFE}
-		rec, err := chA.Seal(telemetry)
-		if err != nil {
-			t.Fatal(err)
-		}
+	send := func(rec []byte) {
+		t.Helper()
 		if _, err := a.ep.Send(transport.Message{
 			CommCode: 0x20, SessionID: 0x0001, OpCode: 0x01, Payload: rec,
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	seal := func(plain []byte) []byte {
+		t.Helper()
+		rec, err := chA.Seal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	recv := func() []byte {
+		t.Helper()
 		msg, err := b.ep.Poll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := chB.Open(msg.Payload)
+		return msg.Payload
+	}
+	openFresh := func(plain []byte) {
+		t.Helper()
+		got, err := chB.Open(recv())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, telemetry) {
-			t.Fatalf("record %d corrupted", i)
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("record %x corrupted", plain)
 		}
 	}
 
-	// Replay at the bus level: re-send the last record; the session
-	// layer must reject it even though the transport happily delivers.
-	last, _ := chA.Seal([]byte("final"))
-	for i := 0; i < 2; i++ {
-		if _, err := a.ep.Send(transport.Message{
-			CommCode: 0x20, SessionID: 0x0001, OpCode: 0x01, Payload: last,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 5; i++ {
+		telemetry := []byte{0xCA, byte(i), 0xFE}
+		send(seal(telemetry))
+		openFresh(telemetry)
 	}
-	msg1, err := b.ep.Poll()
-	if err != nil {
-		t.Fatal(err)
+
+	// Replay at the bus level. A back-to-back copy of a record is a
+	// consecutive duplicate, which the transport suppresses and counts.
+	last := seal([]byte("final"))
+	send(last)
+	send(last)
+	openFresh([]byte("final"))
+	if _, err := b.ep.Poll(); !errors.Is(err, transport.ErrNoMessage) {
+		t.Fatalf("back-to-back copy surfaced: %v", err)
 	}
-	if _, err := chB.Open(msg1.Payload); err != nil {
-		t.Fatal(err)
+	if n := b.ep.Stats().DuplicateMessages; n != 1 {
+		t.Fatalf("DuplicateMessages = %d, want 1", n)
 	}
-	msg2, err := b.ep.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chB.Open(msg2.Payload); err == nil {
-		t.Fatal("bus-level replay accepted by the session layer")
+
+	// After a fresh record the same copy is no longer a duplicate: the
+	// transport delivers it and the session layer must reject it.
+	send(seal([]byte("fresh")))
+	openFresh([]byte("fresh"))
+	send(last)
+	if _, err := chB.Open(recv()); !errors.Is(err, session.ErrReplay) {
+		t.Fatalf("bus-level replay: got %v, want session.ErrReplay", err)
 	}
 }
 
@@ -257,9 +281,9 @@ func TestEnrollmentOverCANFD(t *testing.T) {
 	}
 	gw := &enroll.Gateway{CA: ca}
 
-	bus := canbus.NewBus(canbus.PrototypeRates)
-	epDev := transport.NewEndpoint(bus.Attach("new-ecu"), 0x201)
-	epGw := transport.NewEndpoint(bus.Attach("gateway"), 0x202)
+	w, bus := newBus()
+	epDev := transport.NewEndpoint(w, bus.Attach("new-ecu"), 0x201, transport.Config{})
+	epGw := transport.NewEndpoint(w, bus.Attach("gateway"), 0x202, transport.Config{})
 
 	dev := &enroll.Device{
 		Curve: ec.P256(),

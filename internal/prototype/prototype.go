@@ -123,10 +123,14 @@ func Run(p core.Protocol, model *hwmodel.Model, deviceName string) (*Timeline, e
 	}
 	raw := model.RawPhaseMS(res.Trace, dev)
 
-	// CAN-FD bus with the prototype rates of §V-C.
+	// CAN-FD bus with the prototype rates of §V-C: a lossless
+	// two-node segment, so the zero transport.Config (no trailer, no
+	// acceptance filter) carries the bare Fig. 6 framing.
+	w := transport.NewWorld(nil)
 	bus := canbus.NewBus(canbus.PrototypeRates)
-	epEVCC := transport.NewEndpoint(bus.Attach("evcc"), 0x101)
-	epBMS := transport.NewEndpoint(bus.Attach("bms"), 0x102)
+	bus.SetClock(w.Clock)
+	epEVCC := transport.NewEndpoint(w, bus.Attach("evcc"), 0x101, transport.Config{})
+	epBMS := transport.NewEndpoint(w, bus.Attach("bms"), 0x102, transport.Config{})
 
 	tl := &Timeline{Protocol: p.Name()}
 	labels := phaseLabel[p.Name()]

@@ -305,9 +305,9 @@ func (a *replayAdversary) replayOne(conv int, frames []canbus.Frame) security.Re
 	completed := false
 	var lastErr error
 	for hop := 0; hop < maxReplayHops; hop++ {
-		msg, ok := victim.TryPoll()
-		if !ok {
-			break
+		msg, err := victim.Poll()
+		if err != nil {
+			break // starved: the replay is neither accepted nor rejected
 		}
 		reply, done, err := resp.Handle(msg.Payload)
 		if err != nil {

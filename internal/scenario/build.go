@@ -99,8 +99,8 @@ func buildFabric(s Scenario, prof Profile, peers []*core.Party, faultTrace func(
 		lcfg, rcfg := base, base
 		lcfg.AcceptID = responderIDBase + uint32(i)
 		rcfg.AcceptID = initiatorIDBase + uint32(i)
-		local := transport.NewReliableEndpoint(w, mgrBus.Attach(fmt.Sprintf("mgr→%s", p.ID)), initiatorIDBase+uint32(i), lcfg)
-		remote := transport.NewReliableEndpoint(w, peerBus.Attach(p.ID.String()), responderIDBase+uint32(i), rcfg)
+		local := transport.NewEndpoint(w, mgrBus.Attach(fmt.Sprintf("mgr→%s", p.ID)), initiatorIDBase+uint32(i), lcfg)
+		remote := transport.NewEndpoint(w, peerBus.Attach(p.ID.String()), responderIDBase+uint32(i), rcfg)
 		fab.locals = append(fab.locals, local)
 		fab.remotes = append(fab.remotes, remote)
 		fab.carriers[p.ID] = &fleet.NetCarrier{Link: link, Local: local, Remote: remote, SessionID: uint16(i + 1)}

@@ -108,8 +108,8 @@ func TestReliableAcrossRateLimitedGateway(t *testing.T) {
 	acfg, bcfg := DefaultConfig(), DefaultConfig()
 	acfg.Accounting = acc
 	acfg.AcceptID, bcfg.AcceptID = 0x200, 0x100
-	a := NewReliableEndpoint(w, busA.Attach("a"), 0x100, acfg)
-	b := NewReliableEndpoint(w, busB.Attach("b"), 0x200, bcfg)
+	a := NewEndpoint(w, busA.Attach("a"), 0x100, acfg)
+	b := NewEndpoint(w, busB.Attach("b"), 0x200, bcfg)
 	link := &Link{World: w, MaxResend: 4}
 
 	m := Message{CommCode: 1, SessionID: 3, OpCode: 7, Payload: testPayload(400)}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/cantp"
 )
 
-// reliablePair builds two reliable endpoints on one (optionally
+// reliablePair builds two filtered endpoints on one (optionally
 // impaired) bus.
 func reliablePair(t *testing.T, imp *canbus.Impairment, cfg Config) (*Endpoint, *Endpoint, *World, *canbus.Bus) {
 	t.Helper()
@@ -22,8 +22,8 @@ func reliablePair(t *testing.T, imp *canbus.Impairment, cfg Config) (*Endpoint, 
 	}
 	acfg, bcfg := cfg, cfg
 	acfg.AcceptID, bcfg.AcceptID = 0x102, 0x101
-	a := NewReliableEndpoint(w, bus.Attach("a"), 0x101, acfg)
-	b := NewReliableEndpoint(w, bus.Attach("b"), 0x102, bcfg)
+	a := NewEndpoint(w, bus.Attach("a"), 0x101, acfg)
+	b := NewEndpoint(w, bus.Attach("b"), 0x102, bcfg)
 	return a, b, w, bus
 }
 
@@ -95,7 +95,7 @@ func TestReliableChecksumRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run()
-	if _, ok := b.TryPoll(); ok {
+	if _, err := b.Poll(); err == nil {
 		t.Fatal("corrupted message surfaced")
 	}
 	st := b.Stats()
@@ -126,10 +126,10 @@ func TestReliableDuplicateSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run()
-	if _, ok := b.TryPoll(); !ok {
-		t.Fatal("message lost")
+	if _, err := b.Poll(); err != nil {
+		t.Fatalf("message lost: %v", err)
 	}
-	if _, ok := b.TryPoll(); ok {
+	if _, err := b.Poll(); err == nil {
 		t.Fatal("duplicated single-frame message surfaced twice")
 	}
 	if b.Stats().DuplicateMessages == 0 {
@@ -164,8 +164,8 @@ func TestReliableWaitChain(t *testing.T) {
 		t.Fatalf("send through Wait chain: %v", err)
 	}
 	w.Run()
-	got, ok := b.TryPoll()
-	if !ok || !bytes.Equal(got.Payload, m.Payload) {
+	got, err := b.Poll()
+	if err != nil || !bytes.Equal(got.Payload, m.Payload) {
 		t.Fatal("message lost behind Wait chain")
 	}
 	if a.Stats().WaitsHonoured != 2 {
@@ -211,8 +211,8 @@ func TestReliableAcrossImpairedGatewayChain(t *testing.T) {
 
 	acfg, ccfg := DefaultConfig(), DefaultConfig()
 	acfg.AcceptID, ccfg.AcceptID = 0x210, 0x110
-	a := NewReliableEndpoint(w, busA.Attach("initiator"), 0x110, acfg)
-	c := NewReliableEndpoint(w, busC.Attach("responder"), 0x210, ccfg)
+	a := NewEndpoint(w, busA.Attach("initiator"), 0x110, acfg)
+	c := NewEndpoint(w, busC.Attach("responder"), 0x210, ccfg)
 	link := &Link{World: w, MaxResend: 6}
 
 	for i := 0; i < 4; i++ {
