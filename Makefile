@@ -224,8 +224,9 @@ bench-scenarios:
 		-bench BENCH_scenarios.json >/dev/null
 
 # Brief fuzzing of the protocol parsers, of the transport endpoint's
-# receive path and of P-256 ECDSA verification against its in-repo
-# oracle (committed corpora under testdata/fuzz replay in every plain
+# receive path, of P-256 ECDSA verification against its in-repo oracle
+# and of the P-256 public point arithmetic the standard library serves
+# against fp (committed corpora under testdata/fuzz replay in every plain
 # `go test` run; this target digs further — used by CI with a short
 # budget, locally run longer).
 FUZZTIME ?= 10s
@@ -235,6 +236,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzEndpointService -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyDigest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ec -fuzz FuzzPublicOpsP256 -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

@@ -304,6 +304,34 @@ func TestTraceCoversAllPhases(t *testing.T) {
 	}
 }
 
+// TestTraceCapacityExact pins each run's initial trace capacity to the
+// events it records: a complete run fills its trace exactly, so the
+// slice is never regrown and no capacity is left unused.
+func TestTraceCapacityExact(t *testing.T) {
+	for _, p := range Protocols() {
+		a, b := newPair(t, 13)
+		res, err := p.Run(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev := res.Trace.Events; len(ev) != cap(ev) {
+			t.Errorf("%s: %d events in a trace of capacity %d", p.Name(), len(ev), cap(ev))
+		}
+	}
+	for _, opt := range []STSOptimization{OptNone, OptI, OptII} {
+		a, b := newPair(t, 14)
+		init, _ := NewInitiator(a, opt)
+		resp, _ := NewResponder(b, opt)
+		driveHandshake(t, init, resp)
+		for _, ev := range [][]Event{init.Trace().Events, resp.Trace().Events} {
+			if len(ev) != stsSideEvents || cap(ev) != stsSideEvents {
+				t.Errorf("engine %v: %d events in a trace of capacity %d, want %d",
+					opt, len(ev), cap(ev), stsSideEvents)
+			}
+		}
+	}
+}
+
 func TestSTSTraceOpCounts(t *testing.T) {
 	// Pin the EC operation counts per party for STS — the quantities
 	// the Table I model scales.

@@ -58,7 +58,7 @@ func newEngineCommon(party *Party, role PartyRole, opt STSOptimization) (*engine
 	if party == nil || party.Cert == nil || party.Priv == nil {
 		return nil, errors.New("core: engine party not provisioned")
 	}
-	trace := &Trace{}
+	trace := newTrace(stsSideEvents)
 	return &engineCommon{
 		party: party,
 		opt:   opt,

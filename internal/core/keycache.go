@@ -12,7 +12,8 @@ import (
 
 // KeyCache memoizes the per-peer public-key work of repeated session
 // establishments: the ECQV public-key extraction (one ScalarMult + Add
-// per certificate) and the verification key, which on P-224 and P-192
+// per certificate, on crypto/elliptic for P-256 and on fp for P-224
+// and P-192) and the verification key, which on P-224 and P-192
 // carries the precomputed odd-multiples table that ECDSA verification
 // multiplies against (P-256 verifies on crypto/ecdsa and needs no
 // table). A device that re-keys against the same static peer — the

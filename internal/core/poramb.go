@@ -20,6 +20,10 @@ import (
 // capture breaks authentication both ways.
 type PORAMB struct{}
 
+// porambEvents is the number of trace events a complete PORAMB run
+// records.
+const porambEvents = 30
+
 // NewPORAMB returns the PORAMB baseline protocol.
 func NewPORAMB() *PORAMB { return &PORAMB{} }
 
@@ -59,7 +63,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 		return nil, err
 	}
 	curve := a.Curve
-	trace := &Trace{}
+	trace := newTrace(porambEvents)
 	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
 	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
 	res := &Result{Protocol: p.Name(), Trace: trace}

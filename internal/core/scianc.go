@@ -29,6 +29,10 @@ import (
 // against the extracted peer key (see suite.cachedCombinedDH).
 type SCIANC struct{}
 
+// sciancEvents is the number of trace events a complete SCIANC run
+// records.
+const sciancEvents = 18
+
 // NewSCIANC returns the SCIANC baseline protocol.
 func NewSCIANC() *SCIANC { return &SCIANC{} }
 
@@ -59,7 +63,7 @@ func (p *SCIANC) Run(a, b *Party) (*Result, error) {
 		return nil, err
 	}
 	curve := a.Curve
-	trace := &Trace{}
+	trace := newTrace(sciancEvents)
 	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
 	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
 	res := &Result{Protocol: p.Name(), Trace: trace}

@@ -27,6 +27,13 @@ type SECDSA struct {
 	ext bool
 }
 
+// secdsaEvents and secdsaExtEvents are the trace events a complete
+// S-ECDSA run records, plain and extended.
+const (
+	secdsaEvents    = 28
+	secdsaExtEvents = 40
+)
+
 // NewSECDSA returns the S-ECDSA protocol; ext selects the extended
 // finished-message variant ("S-ECDSA (ext.)" in Table I).
 func NewSECDSA(ext bool) *SECDSA { return &SECDSA{ext: ext} }
@@ -77,7 +84,11 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		return nil, err
 	}
 	curve := a.Curve
-	trace := &Trace{}
+	events := secdsaEvents
+	if p.ext {
+		events = secdsaExtEvents
+	}
+	trace := newTrace(events)
 	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
 	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
 	res := &Result{Protocol: p.Name(), Trace: trace}

@@ -38,6 +38,10 @@ func (o STSOptimization) String() string {
 	}
 }
 
+// stsSideEvents is the number of trace events one party records in a
+// complete STS handshake, at every optimization level.
+const stsSideEvents = 18
+
 // STS is the paper's dynamic key-derivation protocol: Station-to-
 // Station ephemeral ECDH, authenticated by ECDSA signatures that are
 // verified against ECQV-reconstructed public keys and transported
@@ -106,7 +110,7 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 		return nil, err
 	}
 	curve := a.Curve
-	trace := &Trace{}
+	trace := newTrace(2 * stsSideEvents)
 	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
 	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
 	res := &Result{Protocol: p.Name(), Trace: trace}

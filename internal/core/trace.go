@@ -123,6 +123,10 @@ type Trace struct {
 	Events []Event
 }
 
+// newTrace returns an empty trace with room for events records, so a
+// run that records its known count never regrows the slice.
+func newTrace(events int) *Trace { return &Trace{Events: make([]Event, 0, events)} }
+
 // meter tags recorded events with a fixed party and mutable phase.
 type meter struct {
 	trace *Trace

@@ -72,6 +72,25 @@ func (c *Curve) fpToPoint(p *fpJac) Point {
 	return c.fpAffineToPoint(&x, &y)
 }
 
+// fpOnCurve is the curve-membership check of a finite point on the fp
+// backend: both coordinates canonical in [0, p), then
+// y² = (x² + a)·x + b in Montgomery form, allocation-free.
+func (c *Curve) fpOnCurve(p Point) bool {
+	if !c.inField(p.X) || !c.inField(p.Y) {
+		return false
+	}
+	f := c.fpF
+	var x, y, lhs, rhs fp.Element
+	f.FromBig(&x, p.X)
+	f.FromBig(&y, p.Y)
+	f.Sqr(&lhs, &y)
+	f.Sqr(&rhs, &x)
+	f.Add(&rhs, &rhs, &c.fpA)
+	f.Mul(&rhs, &rhs, &x)
+	f.Add(&rhs, &rhs, &c.fpB)
+	return f.Equal(&lhs, &rhs)
+}
+
 // fpAffineToPoint converts affine Montgomery-form coordinates to a
 // big.Int Point at the public API boundary.
 func (c *Curve) fpAffineToPoint(x, y *fp.Element) Point {

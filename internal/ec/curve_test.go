@@ -85,7 +85,9 @@ func TestIsOnCurveRejects(t *testing.T) {
 }
 
 // TestAgainstStdlib cross-checks scalar multiplication against
-// crypto/elliptic for the curves the standard library ships.
+// crypto/elliptic for the curves the standard library ships. The
+// arbitrary-point path is checked on the fp and math/big internals: on
+// P-256 ScalarMult is the standard library itself.
 func TestAgainstStdlib(t *testing.T) {
 	pairs := []struct {
 		ours *Curve
@@ -115,9 +117,11 @@ func TestAgainstStdlib(t *testing.T) {
 			// Arbitrary-point path: multiply 7G by k both ways.
 			sevenX, sevenY := pair.std.ScalarBaseMult(big.NewInt(7).Bytes())
 			wantX2, wantY2 := pair.std.ScalarMult(sevenX, sevenY, k.Bytes())
-			got2 := pair.ours.ScalarMult(Point{X: sevenX, Y: sevenY}, k)
-			if got2.X.Cmp(wantX2) != 0 || got2.Y.Cmp(wantY2) != 0 {
-				t.Errorf("%s: ScalarMult(7G, %v) mismatch with stdlib", pair.ours.Name, k)
+			seven := Point{X: sevenX, Y: sevenY}
+			for _, got2 := range []Point{fpScalarMult(pair.ours, seven, k), pair.ours.scalarMultBig(seven, k)} {
+				if got2.X.Cmp(wantX2) != 0 || got2.Y.Cmp(wantY2) != 0 {
+					t.Errorf("%s: ScalarMult(7G, %v) mismatch with stdlib", pair.ours.Name, k)
+				}
 			}
 		}
 	}

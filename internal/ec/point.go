@@ -53,11 +53,16 @@ func (c *Curve) Neg(p Point) Point {
 }
 
 // Add returns p + q using the affine group law via Jacobian coordinates.
+// On P-256 the standard library adds two on-curve points (see
+// stdlibServes).
 func (c *Curve) Add(p, q Point) Point {
-	if c.useFP() {
-		return c.addFP(p, q)
+	if !c.useFP() {
+		return c.addBig(p, q)
 	}
-	return c.addBig(p, q)
+	if !p.IsInfinity() && !q.IsInfinity() && c.stdlibServes(p) && c.stdlibServes(q) {
+		return fromStdlib(c.stdlib.Add(p.X, p.Y, q.X, q.Y))
+	}
+	return c.addFP(p, q)
 }
 
 // addBig is the math/big group addition (differential oracle).

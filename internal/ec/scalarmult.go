@@ -5,7 +5,8 @@ import "math/big"
 // Public-scalar multiplication. Three strategies are provided:
 //
 //   - ScalarMult: 5-bit wNAF with an on-the-fly odd-multiples table,
-//     used for arbitrary points (ECDH premaster, ECQV reconstruction).
+//     used for arbitrary points (ECQV extraction); on P-256 the
+//     standard library serves it in the default build.
 //   - ScalarBaseMult: fixed-base comb over a cached per-curve table
 //     (no doublings at all on the default backend).
 //   - CombinedMult: u1·G + u2·Q, ECDSA verification on P-224 and
@@ -79,8 +80,13 @@ func (c *Curve) scalarMultWNAF(table []*jacobianPoint, k *big.Int) *jacobianPoin
 	return acc
 }
 
-// reduceScalar returns k mod n, or nil when the result is zero.
+// reduceScalar returns k mod n, or nil when the result is zero. A k
+// already in [1, n−1] comes back as itself, unallocated, so callers
+// only read the result.
 func (c *Curve) reduceScalar(k *big.Int) *big.Int {
+	if c.checkScalarRange(k) {
+		return k
+	}
 	kr := new(big.Int).Mod(k, c.N)
 	if kr.Sign() == 0 {
 		return nil
@@ -89,7 +95,8 @@ func (c *Curve) reduceScalar(k *big.Int) *big.Int {
 }
 
 // ScalarMult returns k·P. The scalar is reduced modulo the group order;
-// k ≡ 0 or P = ∞ yields the point at infinity.
+// k ≡ 0 or P = ∞ yields the point at infinity. On P-256 the standard
+// library multiplies an on-curve P (see stdlibServes).
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	if !c.useFP() {
 		return c.scalarMultBig(p, k)
@@ -100,6 +107,9 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	kr := c.reduceScalar(k)
 	if kr == nil {
 		return Point{}
+	}
+	if c.stdlibServes(p) {
+		return fromStdlib(c.stdlib.ScalarMult(p.X, p.Y, kr.FillBytes(make([]byte, c.byteLen))))
 	}
 	return c.scalarMultFP(p, kr)
 }
@@ -120,8 +130,10 @@ func (c *Curve) scalarMultBig(p Point, k *big.Int) Point {
 
 // ScalarMultNaive is the schoolbook double-and-add ladder, retained as
 // a correctness oracle and as the baseline of the scalar-multiplication
-// ablation bench. It runs on the same field backend as ScalarMult so
-// the ablation isolates the recoding algorithm, not the field layer.
+// ablation bench. It runs on the same field backend as ScalarMult's
+// in-repo path so the ablation isolates the recoding algorithm, not
+// the field layer; that holds on every curve the standard library does
+// not serve (see stdlibServes), so the ablation runs on P-224.
 func (c *Curve) ScalarMultNaive(p Point, k *big.Int) Point {
 	if p.IsInfinity() {
 		return Point{}
@@ -233,23 +245,24 @@ func (c *Curve) scalarBaseMultBig(k *big.Int) Point {
 }
 
 // CombinedMult returns u1·G + u2·Q — the ECDSA verification path of
-// P-224 and P-192.
+// P-224 and P-192, and the in-repo oracle of P-256's.
 // The default backend runs the u2 chain in fixed-limb wNAF and folds
-// the base term in through the comb table; the oracle path uses
-// Strauss–Shamir interleaving.
+// the base term in through the comb table, on every curve and in
+// every degenerate case; the oracle path uses Strauss–Shamir
+// interleaving.
 func (c *Curve) CombinedMult(q Point, u1, u2 *big.Int) Point {
+	if !c.useFP() {
+		return c.combinedMultBig(q, u1, u2)
+	}
 	u1r := new(big.Int).Mod(u1, c.N)
 	u2r := new(big.Int).Mod(u2, c.N)
 	if q.IsInfinity() || u2r.Sign() == 0 {
 		return c.ScalarBaseMult(u1r)
 	}
 	if u1r.Sign() == 0 {
-		return c.ScalarMult(q, u2r)
+		return c.scalarMultFP(q, u2r)
 	}
-	if c.useFP() {
-		return c.combinedMultFP(q, u1r, u2r)
-	}
-	return c.combinedMultBigReduced(q, u1r, u2r)
+	return c.combinedMultFP(q, u1r, u2r)
 }
 
 // combinedMultBig is the math/big Strauss–Shamir path (differential

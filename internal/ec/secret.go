@@ -21,8 +21,9 @@ import (
 // Scalars cross this boundary as fixed-width ByteLen big-endian
 // bytes, so math/big never touches them here. Public-scalar paths keep
 // the faster variable-time code: ECQV extraction, MultTable, and ECDSA
-// verification on P-224 and P-192 (P-256 verifies on crypto/ecdsa, in
-// internal/ecdsa, and decompresses points on crypto/elliptic).
+// verification on P-224 and P-192. P-256 verifies on crypto/ecdsa, in
+// internal/ecdsa, and runs decompression and ECQV extraction's
+// ScalarMult, Add and IsOnCurve on crypto/elliptic.
 
 // ErrSecretScalar is returned for a secret scalar that is not ByteLen
 // bytes wide or lies outside [1, n−1].

@@ -266,7 +266,9 @@ func (ca *CA) Issue(req Request, params IssueParams) (*Response, error) {
 // IssueBatch amortizes issuance over many requests: the per-curve
 // comb table, which the P-224/P-192 secret-scalar ladder reads, is
 // warmed once up front (so workers share the cached precomputation
-// instead of serializing on its lazy build), and
+// instead of serializing on its lazy build; P-256 issuance reads no
+// table, its nonce multiplication running on crypto/ecdh and its Add
+// on crypto/elliptic), and
 // the heavy point arithmetic fans out over a pool of at most
 // parallelism workers (GOMAXPROCS when ≤ 0). Responses align with
 // reqs; per-request failures are joined into the returned error while
