@@ -65,11 +65,14 @@ bench-compare:
 # heap allocation). The ScalarMult gate guards the fixed-limb no-alloc
 # contract; the secret-path gate bounds the constant-time base mult and
 # DH every handshake runs; the verify gate bounds a P-256 verification
-# against a KeyCache-held key, the handshake's other public-key op.
+# against a KeyCache-held key, the handshake's other public-key op; the
+# broadcast gate holds a CAN Send to one payload copy whatever the
+# number of receivers.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget|TestSecretAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyAllocBudget' -v ./internal/core/
+	$(GO) test -run='TestBroadcastAllocBudget' -v ./internal/canbus/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs CIOS Mul, Montgomery-

@@ -3,7 +3,6 @@ package canbus
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -20,10 +19,14 @@ import (
 // drops, corrupts, duplicates or delays frames, which is what the
 // timer- and retransmission-aware ISO-TP layer is tested against.
 // Multi-segment topologies are built by bridging buses with Gateways.
+//
+// A bus, its nodes and the gateways bridging it belong to one world
+// (transport.World) and are driven by one goroutine at a time; none
+// of them takes a lock. World.Acquire is the fabric's only lock, and
+// the race detector reports any access that bypasses it.
 type Bus struct {
 	rates BitRates
 
-	mu      sync.Mutex
 	nodes   []*Node
 	stats   Stats
 	impair  *impairState
@@ -61,8 +64,7 @@ type Node struct {
 	name    string
 	monitor bool
 
-	mu       sync.Mutex
-	rx       []Frame
+	rx       fifo[Frame]
 	rxLimit  int
 	overflow int
 }
@@ -74,44 +76,28 @@ func NewBus(rates BitRates) *Bus {
 
 // SetClock attaches a simulated clock; every transmitted frame's wire
 // time (and any injected delay) advances it. A nil clock detaches.
-func (b *Bus) SetClock(c *Clock) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.clock = c
-}
+func (b *Bus) SetClock(c *Clock) { b.clock = c }
 
 // Impair installs deterministic fault injection on the bus. Installing
 // a zero-rate Impairment (or calling with all rates zero) still resets
 // the per-identifier occurrence counters the content keys include, so
 // a topology can be re-armed for a reproducibility re-run.
 // ClearImpairment removes injection entirely.
-func (b *Bus) Impair(cfg Impairment) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.impair = newImpairState(cfg)
-}
+func (b *Bus) Impair(cfg Impairment) { b.impair = newImpairState(cfg) }
 
 // ClearImpairment removes fault injection.
-func (b *Bus) ClearImpairment() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.impair = nil
-}
+func (b *Bus) ClearImpairment() { b.impair = nil }
 
 // SetFaultTrace installs a hook invoked for every injected fault, in
 // injection order (drop, corrupt, duplicate, delay — a frame can
-// suffer several). The hook runs under the bus lock on the sending
-// goroutine; it must not call back into the bus. A nil hook detaches.
+// suffer several). The hook runs synchronously inside Send, on the
+// world's driving goroutine; it must not call back into the bus. A nil
+// hook detaches.
 // Golden-trace tests and the scenario engine's trace recorder use it
 // to commit the exact fault sequence of a seeded run.
-func (b *Bus) SetFaultTrace(fn func(FaultEvent)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trace = fn
-}
+func (b *Bus) SetFaultTrace(fn func(FaultEvent)) { b.trace = fn }
 
 // emitFault reports one injected fault to the trace hook, if any.
-// Callers hold b.mu.
 func (b *Bus) emitFault(f *Frame, roll impairRoll, kind FaultKind) {
 	if b.trace == nil {
 		return
@@ -129,8 +115,6 @@ func (b *Bus) emitFault(f *Frame, roll impairRoll, kind FaultKind) {
 // SetRxLimit sets the receive-queue bound applied to nodes attached
 // from now on (≤ 0 restores DefaultRxLimit).
 func (b *Bus) SetRxLimit(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if n <= 0 {
 		n = DefaultRxLimit
 	}
@@ -139,8 +123,6 @@ func (b *Bus) SetRxLimit(n int) {
 
 // Attach adds a named node to the bus.
 func (b *Bus) Attach(name string) *Node {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	n := &Node{bus: b, name: name, rxLimit: b.rxLimit}
 	b.nodes = append(b.nodes, n)
 	return n
@@ -157,19 +139,13 @@ func (b *Bus) Attach(name string) *Node {
 // a tap must produce byte-identical results. The returned node can
 // still Send, which is the adversary's injection port.
 func (b *Bus) Tap(name string) *Node {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	n := &Node{bus: b, name: name, monitor: true}
 	b.nodes = append(b.nodes, n)
 	return n
 }
 
 // Stats returns a snapshot of the bus counters.
-func (b *Bus) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
+func (b *Bus) Stats() Stats { return b.stats }
 
 // Rates returns the configured bit rates.
 func (b *Bus) Rates() BitRates { return b.rates }
@@ -226,8 +202,6 @@ func (n *Node) send(f Frame) (sendResult, error) {
 	}
 
 	b := n.bus
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.stats.Frames++
 	b.stats.Bytes += rawLen
 	b.stats.PadBytes += padded - rawLen
@@ -240,36 +214,38 @@ func (n *Node) send(f Frame) (sendResult, error) {
 		}
 	}
 
-	copies := 1
-	var delivered []byte
+	var roll impairRoll
 	if b.impair != nil {
-		roll := b.impair.roll(&f)
+		roll = b.impair.roll(&f)
 		if roll.drop {
 			b.stats.Dropped++
 			b.emitFault(&f, roll, FaultDrop)
 			res.dropped = true
 			return res, nil
 		}
-		if roll.corrupt {
-			delivered = append([]byte(nil), f.Data...)
-			corruptFrame(delivered, roll)
-			b.stats.Corrupted++
-			b.emitFault(&f, roll, FaultCorrupt)
-		}
-		if roll.duplicate {
-			b.stats.Duplicated++
-			b.emitFault(&f, roll, FaultDuplicate)
-			copies = 2
-		}
-		if roll.delay {
-			b.stats.Delayed++
-			b.stats.DelayTime += b.impair.cfg.Delay
-			b.clock.Advance(b.impair.cfg.Delay)
-			b.emitFault(&f, roll, FaultDelay)
-		}
 	}
-	if delivered == nil {
-		delivered = f.Data
+	// One payload per broadcast, shared read-only by every receiver and
+	// duplicate; the sender keeps its own buffer. Padding already made
+	// a fresh one.
+	if padded == rawLen {
+		f.Data = append([]byte(nil), f.Data...)
+	}
+	copies := 1
+	if roll.corrupt {
+		corruptFrame(f.Data, roll)
+		b.stats.Corrupted++
+		b.emitFault(&f, roll, FaultCorrupt)
+	}
+	if roll.duplicate {
+		b.stats.Duplicated++
+		b.emitFault(&f, roll, FaultDuplicate)
+		copies = 2
+	}
+	if roll.delay {
+		b.stats.Delayed++
+		b.stats.DelayTime += b.impair.cfg.Delay
+		b.clock.Advance(b.impair.cfg.Delay)
+		b.emitFault(&f, roll, FaultDelay)
 	}
 
 	for c := 0; c < copies; c++ {
@@ -277,21 +253,15 @@ func (n *Node) send(f Frame) (sendResult, error) {
 			if peer == n {
 				continue
 			}
-			out := Frame{
-				ID:       f.ID,
-				Extended: f.Extended,
-				BRS:      f.BRS,
-				Data:     append([]byte(nil), delivered...),
-			}
 			if peer.monitor {
 				// Monitor taps observe without participating: their
 				// unbounded queues take every copy, and no delivery
 				// counter moves — a tapped bus measures identically to
 				// an untapped one.
-				peer.enqueue(out)
+				peer.enqueue(f)
 				continue
 			}
-			if peer.enqueue(out) {
+			if peer.enqueue(f) {
 				b.stats.Broadcast++
 				res.accepted++
 			} else {
@@ -306,52 +276,72 @@ func (n *Node) send(f Frame) (sendResult, error) {
 // counting the overflow) when the queue is full — the behaviour of a
 // controller whose RX mailboxes are all occupied.
 func (n *Node) enqueue(f Frame) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.rxLimit > 0 && len(n.rx) >= n.rxLimit {
+	if n.rxLimit > 0 && n.rx.len() >= n.rxLimit {
 		n.overflow++
 		return false
 	}
-	n.rx = append(n.rx, f)
+	n.rx.push(f)
 	return true
 }
 
-// Receive pops the oldest pending frame, if any.
+// Receive pops the oldest pending frame, if any. The frame's Data is
+// shared with every other receiver of the broadcast and must be
+// treated as read-only.
 func (n *Node) Receive() (Frame, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.rx) == 0 {
+	if n.rx.len() == 0 {
 		return Frame{}, false
 	}
-	f := n.rx[0]
-	n.rx = n.rx[1:]
-	return f, true
+	return n.rx.pop(), true
 }
 
 // Pending returns the number of queued frames.
-func (n *Node) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.rx)
-}
+func (n *Node) Pending() int { return n.rx.len() }
 
 // SetRxLimit overrides this node's receive-queue bound (≤ 0 means
 // unbounded — useful for measurement taps that must never lose).
-func (n *Node) SetRxLimit(limit int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rxLimit = limit
-}
+func (n *Node) SetRxLimit(limit int) { n.rxLimit = limit }
 
 // Overflow returns how many deliveries this node lost to a full queue.
-func (n *Node) Overflow() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.overflow
-}
+func (n *Node) Overflow() int { return n.overflow }
 
 // Name returns the node's attach name.
 func (n *Node) Name() string { return n.name }
 
 // String renders the node for diagnostics and fault traces.
 func (n *Node) String() string { return fmt.Sprintf("canbus.Node(%s)", n.name) }
+
+// fifo is a head-indexed queue. Popping advances the head instead of
+// reslicing, and push reuses the backing array: an emptied queue
+// rewinds, and a full one with a popped prefix compacts before it
+// grows.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		m := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[m:])
+		q.buf, q.head = q.buf[:m], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the oldest element; the queue must not be
+// empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}

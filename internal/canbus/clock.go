@@ -1,9 +1,6 @@
 package canbus
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock is the simulated network time shared by buses, gateways and
 // the transport layer. The experiments do not sleep: wire occupancy,
@@ -11,10 +8,14 @@ import (
 // this logical clock, which keeps impaired-network runs exactly
 // reproducible under a fixed seed regardless of host scheduling.
 //
+// A clock belongs to one world (transport.World) and, like every
+// fabric object, is driven by one goroutine at a time: it has no lock
+// of its own, and the race detector reports any unsynchronized access
+// from a second goroutine.
+//
 // A nil *Clock is a valid "no timekeeping" clock: every method is a
 // cheap no-op returning zero, so the lossless fast path pays nothing.
 type Clock struct {
-	mu  sync.Mutex
 	now time.Duration
 }
 
@@ -26,8 +27,6 @@ func (c *Clock) Now() time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.now
 }
 
@@ -37,8 +36,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if d > 0 {
 		c.now += d
 	}
@@ -51,8 +48,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t > c.now {
 		c.now = t
 	}

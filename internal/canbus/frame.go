@@ -60,6 +60,12 @@ func LenForDLC(dlc byte) (int, error) {
 
 // Frame is a CAN-FD data frame. Only the fields relevant to timing and
 // multiplexing are modelled.
+//
+// A delivered frame's Data is read-only. Send copies the payload once
+// per broadcast (or pads it into a fresh buffer), so the sender may
+// reuse its buffer at once, but every receiver, duplicate and tap of
+// that broadcast shares the one delivered slice: a receiver that must
+// modify the bytes copies them first.
 type Frame struct {
 	ID       uint32 // 11-bit standard or 29-bit extended identifier
 	Extended bool   // 29-bit identifier format

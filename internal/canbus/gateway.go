@@ -3,7 +3,6 @@ package canbus
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -14,9 +13,10 @@ import (
 //
 // Forwarding is pull-based: Pump drains every port's receive queue and
 // re-transmits matching frames on the destination segments. The
-// single-threaded experiment drivers pump gateways between protocol
-// steps (see transport.World), which keeps multi-hop delivery order —
-// and therefore seeded impairment decisions — deterministic.
+// world that owns the gateway (transport.World) pumps it between
+// protocol steps on its one driving goroutine, which keeps multi-hop
+// delivery order — and therefore seeded impairment decisions —
+// deterministic. Like the buses it bridges, a gateway takes no lock.
 //
 // Delayed transmission — store-and-forward latency and egress rate
 // limiting alike — is modelled as a per-port fair-queuing scheduler
@@ -43,7 +43,6 @@ type Gateway struct {
 	name  string
 	clock *Clock
 
-	mu     sync.Mutex
 	ports  []*gatewayPort
 	routes []gatewayRoute
 	stats  GatewayStats
@@ -135,7 +134,7 @@ type gatedFrame struct {
 // CAN frames are near-constant size.
 type egressFlow struct {
 	key   flowKey
-	queue []gatedFrame
+	queue fifo[gatedFrame]
 	vnext time.Duration
 	fin   uint64
 }
@@ -187,7 +186,7 @@ func (p *gatewayPort) flow(f Frame) *egressFlow {
 func (p *gatewayPort) backlog(f Frame) *egressFlow {
 	k := flowKey{id: f.ID, ext: f.Extended}
 	for _, fl := range p.flows {
-		if fl.key == k && len(fl.queue) > 0 {
+		if fl.key == k && fl.queue.len() > 0 {
 			return fl
 		}
 	}
@@ -211,11 +210,7 @@ func NewGateway(name string, clock *Clock) *Gateway {
 func (g *Gateway) Name() string { return g.name }
 
 // Stats returns a snapshot of the forwarding counters.
-func (g *Gateway) Stats() GatewayStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
-}
+func (g *Gateway) Stats() GatewayStats { return g.stats }
 
 // port returns (attaching on demand) the gateway's node on a bus.
 func (g *Gateway) port(bus *Bus) *gatewayPort {
@@ -241,8 +236,6 @@ func (g *Gateway) SetEgress(bus *Bus, p EgressPolicy) error {
 	if p.Rate < 0 || p.Queue < 0 {
 		return errors.New("canbus: negative egress policy")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.port(bus).policy = p
 	return nil
 }
@@ -261,8 +254,6 @@ func (g *Gateway) SetLinkUp(bus *Bus, up bool) error {
 	if bus == nil {
 		return errors.New("canbus: SetLinkUp needs a bus")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, p := range g.ports {
 		if p.bus == bus {
 			p.down = !up
@@ -276,13 +267,11 @@ func (g *Gateway) SetLinkUp(bus *Bus, up bool) error {
 // release on the port for a bus — rate-gated and store-latency-gated
 // alike (0 when the port does not exist or holds nothing).
 func (g *Gateway) EgressBacklog(bus *Bus) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, p := range g.ports {
 		if p.bus == bus {
 			n := 0
 			for _, fl := range p.flows {
-				n += len(fl.queue)
+				n += fl.queue.len()
 			}
 			return n
 		}
@@ -305,8 +294,6 @@ func (g *Gateway) Route(from, to *Bus, filter func(Frame) bool, latency time.Dur
 	if latency < 0 {
 		return errors.New("canbus: negative gateway latency")
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.routes = append(g.routes, gatewayRoute{
 		from:    g.port(from),
 		to:      g.port(to),
@@ -325,10 +312,10 @@ func (g *Gateway) Route(from, to *Bus, filter func(Frame) bool, latency time.Dur
 // segments need a pump loop over all gateways (see transport.World).
 // Frames still gated behind a store latency or rate limit do not
 // count as movement; their release time is exposed through
-// NextDeadline so the world's timer loop can advance to it.
+// NextDeadline so the world's timer loop can advance to it. Pump runs
+// on the owning world's driving goroutine: nothing else may touch the
+// gateway or its buses while it does.
 func (g *Gateway) Pump() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	moved := 0
 	for _, p := range g.ports {
 		for {
@@ -391,7 +378,7 @@ func (g *Gateway) emit(p *gatewayPort, f Frame, latency time.Duration) {
 		return
 	}
 	fl := p.flow(f)
-	if p.policy.limited() && p.policy.Queue > 0 && len(fl.queue) >= p.policy.Queue {
+	if p.policy.limited() && p.policy.Queue > 0 && fl.queue.len() >= p.policy.Queue {
 		g.stats.EgressDropped++
 		return
 	}
@@ -406,7 +393,7 @@ func (g *Gateway) emit(p *gatewayPort, f Frame, latency time.Duration) {
 		// release time instead (nextTx), so due stays pure eligibility.
 		fl.vnext = due + p.policy.gap()
 	}
-	fl.queue = append(fl.queue, gatedFrame{frame: f, due: due})
+	fl.queue.push(gatedFrame{frame: f, due: due})
 	g.stats.EgressQueued++
 }
 
@@ -433,7 +420,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 		}
 		var best *egressFlow
 		for _, fl := range p.flows {
-			if len(fl.queue) == 0 || fl.queue[0].due > now {
+			if fl.queue.len() == 0 || fl.queue.front().due > now {
 				continue
 			}
 			if best == nil || p.serveBefore(fl, best) {
@@ -443,8 +430,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 		if best == nil {
 			return sent
 		}
-		f := best.queue[0].frame
-		best.queue = best.queue[1:]
+		f := best.queue.pop().frame
 		if p.shared() {
 			s := p.vtime
 			if best.fin > s {
@@ -481,8 +467,8 @@ func (p *gatewayPort) serveBefore(a, b *egressFlow) bool {
 		if af != bf {
 			return af < bf
 		}
-	} else if a.queue[0].due != b.queue[0].due {
-		return a.queue[0].due < b.queue[0].due
+	} else if ad, bd := a.queue.front().due, b.queue.front().due; ad != bd {
+		return ad < bd
 	}
 	if a.key.id != b.key.id {
 		return a.key.id < b.key.id
@@ -511,8 +497,6 @@ func (g *Gateway) forward(p *gatewayPort, f Frame) {
 // world's timer loop (transport.World.Step) treats it like a protocol
 // timer: time advances to it, then the pump releases the frame.
 func (g *Gateway) NextDeadline() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	var min time.Duration
 	for _, p := range g.ports {
 		if p.down {
@@ -522,10 +506,10 @@ func (g *Gateway) NextDeadline() time.Duration {
 			continue
 		}
 		for _, fl := range p.flows {
-			if len(fl.queue) == 0 {
+			if fl.queue.len() == 0 {
 				continue
 			}
-			due := fl.queue[0].due
+			due := fl.queue.front().due
 			if p.shared() && p.nextTx > due {
 				// The shared port cannot transmit before its next rate
 				// slot, whatever the frame's own eligibility.

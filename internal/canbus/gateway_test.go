@@ -341,6 +341,11 @@ func TestGatewayNoLoops(t *testing.T) {
 	if _, err := src.Send(Frame{ID: 0x100, Data: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
+	// The goroutine is a watchdog, not a concurrent pump: it is the
+	// only one touching the fabric between its start and close(done),
+	// and the channel orders that before the reads below, so the
+	// single-owner contract holds (and -race checks it). A forwarding
+	// loop shows up as the timeout instead of a hung test binary.
 	done := make(chan struct{})
 	go func() { pumpAll(gw1, gw2); close(done) }()
 	select {

@@ -15,10 +15,12 @@ import (
 // per certificate, on crypto/elliptic for P-256 and on fp for P-224
 // and P-192) and the verification key, which on P-224 and P-192
 // carries the precomputed odd-multiples table that ECDSA verification
-// multiplies against (P-256 verifies on crypto/ecdsa and needs no
-// table). A device that re-keys against the same static peer — the
-// fleet steady state — pays the extraction and the table build once
-// per peer instead of once per handshake.
+// multiplies against. A device that re-keys against the same static
+// peer — the fleet steady state — pays the extraction and the table
+// build once per peer instead of once per handshake. Only keys that
+// carry a table go through the fleet-wide second level
+// (SharedTableCache); P-256 verifies on crypto/ecdsa without one, so
+// its keys are built and cached here alone.
 //
 // The cache holds derived public data only (no secrets) and is safe
 // for concurrent use. Entries are keyed by the certificate's
@@ -35,9 +37,9 @@ type KeyCache struct {
 	verifiers map[[32]byte]*ecdsa.PublicKey
 
 	// shared is the second cache level for verifier tables: a local
-	// miss consults it before building, so fleet-static keys (CA,
-	// gateway, wave initiator) are built once per process instead of
-	// once per party. Never nil.
+	// miss on a curve with tables consults it before building, so
+	// fleet-static keys (CA, gateway, wave initiator) are built once
+	// per process instead of once per party. Never nil.
 	shared *SharedTableCache
 
 	hits       atomic.Uint64
@@ -140,10 +142,12 @@ func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec
 	return q, nil
 }
 
-// Verifier returns an ECDSA verification key for q, precomputed
-// (ecdsa.PublicKey.Precompute: the odd-multiples table on P-224 and
-// P-192, nothing on P-256), building and caching it on first use. The
-// returned key is shared and must be treated as immutable.
+// Verifier returns an ECDSA verification key for q, building and
+// caching it on first use: on P-224 and P-192 precomputed
+// (ecdsa.PublicKey.Precompute: the odd-multiples table) and shared
+// fleet-wide through the SharedTableCache, on P-256 a plain key cached
+// here only. The returned key is shared and must be treated as
+// immutable.
 func (kc *KeyCache) Verifier(c *ec.Curve, q ec.Point) *ecdsa.PublicKey {
 	fp := pointFingerprint(c, q)
 	kc.mu.RLock()
@@ -154,9 +158,13 @@ func (kc *KeyCache) Verifier(c *ec.Curve, q ec.Point) *ecdsa.PublicKey {
 		return pub
 	}
 	kc.misses.Add(1)
-	// Second level: another party may have built this table already
-	// (the CA and wave-initiator keys are identical fleet-wide).
-	if shared, ok := kc.shared.Lookup(fp); ok {
+	// Second level, for keys that carry a table only: another party
+	// may have built it already (the CA and wave-initiator keys are
+	// identical fleet-wide). A table-less key is cheaper to wrap than
+	// to publish.
+	if c.StdlibCurve() != nil {
+		pub = &ecdsa.PublicKey{Curve: c, Q: q.Clone()}
+	} else if shared, ok := kc.shared.Lookup(fp); ok {
 		kc.sharedHits.Add(1)
 		pub = shared
 	} else {

@@ -82,6 +82,41 @@ func TestKeyCacheVerifierShared(t *testing.T) {
 	}
 }
 
+// TestKeyCacheTablelessSkipsShared: P-256 keys carry no table, so
+// their verifiers never touch the shared level, while P-224 keys
+// through the same level are still published by one cache and adopted
+// by the next.
+func TestKeyCacheTablelessSkipsShared(t *testing.T) {
+	_, a, b := newTestPair(t, 406)
+	stc := NewSharedTableCache()
+	kc1 := NewKeyCacheWithShared(stc)
+	kc2 := NewKeyCacheWithShared(stc)
+	for _, q := range []ec.Point{a.CAPub, b.Cert.PubRecon} {
+		p1, p2 := kc1.Verifier(a.Curve, q), kc2.Verifier(a.Curve, q)
+		if !p1.Q.Equal(q) || !p2.Q.Equal(q) {
+			t.Fatal("P-256 verifier wraps the wrong point")
+		}
+		if kc1.Verifier(a.Curve, q) != p1 {
+			t.Fatal("P-256 verifier not cached locally")
+		}
+	}
+	if st := stc.Stats(); st != (SharedTableStats{}) {
+		t.Fatalf("P-256 verifiers reached the shared level: %+v", st)
+	}
+	if st := kc1.Stats(); st.Misses != 2 || st.Hits != 2 || st.SharedHits != 0 {
+		t.Fatalf("P-256 local stats = %+v, want 2 misses / 2 hits / 0 shared hits", st)
+	}
+
+	c, q := ec.P224(), p224Point(t)
+	built, adopted := kc1.Verifier(c, q), kc2.Verifier(c, q)
+	if built != adopted {
+		t.Fatal("P-224 verifier not adopted from the shared level")
+	}
+	if st := stc.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("P-224 shared stats = %+v, want 1 hit / 1 miss / 1 entry", st)
+	}
+}
+
 func TestKeyCacheConcurrent(t *testing.T) {
 	_, a, b := newTestPair(t, 402)
 	kc := NewKeyCache()

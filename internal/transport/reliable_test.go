@@ -259,3 +259,107 @@ func TestReliableDeterministicReplay(t *testing.T) {
 		t.Fatalf("same seed diverged:\nA %+v vs %+v\nB %+v vs %+v\nbus %+v vs %+v", a1, a2, b1, b2, s1, s2)
 	}
 }
+
+// frameWatch is a world agent that snapshots every frame its taps hear
+// the moment it is pumped, for TestServiceLeavesFramesUnchanged.
+type frameWatch struct {
+	taps []*canbus.Node
+	seen []canbus.Frame // delivered frames, sharing Data with every receiver
+	orig [][]byte       // each frame's bytes at snapshot time
+}
+
+func (fw *frameWatch) Pump() int {
+	for _, tap := range fw.taps {
+		for f, ok := tap.Receive(); ok; f, ok = tap.Receive() {
+			fw.seen = append(fw.seen, f)
+			fw.orig = append(fw.orig, append([]byte(nil), f.Data...))
+		}
+	}
+	return 0 // observation, not progress
+}
+
+func (fw *frameWatch) NextDeadline() time.Duration { return 0 }
+
+// TestServiceLeavesFramesUnchanged pins the consumer side of the
+// canbus read-only payload contract: every frame an endpoint drains —
+// data segments, FlowControls to an active sender and to an idle one,
+// filtered and malformed frames — keeps its bytes. Each endpoint sits
+// alone on its segment behind a gateway, so every frame it drains was
+// forwarded within a gateway pump, and the watch agent (pumped after
+// gateways, before endpoints) snapshots the shared payload before any
+// endpoint touches it.
+func TestServiceLeavesFramesUnchanged(t *testing.T) {
+	w := NewWorld(nil)
+	busA := canbus.NewBus(canbus.PrototypeRates)
+	busB := canbus.NewBus(canbus.PrototypeRates)
+	busA.SetClock(w.Clock)
+	busB.SetClock(w.Clock)
+	gw := canbus.NewGateway("gw", w.Clock)
+	if err := gw.Route(busA, busB, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Route(busB, busA, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.AddGateway(gw)
+	watch := &frameWatch{taps: []*canbus.Node{busA.Tap("tapA"), busB.Tap("tapB")}}
+	w.AddAgent(watch)
+
+	acfg, bcfg := DefaultConfig(), DefaultConfig()
+	acfg.AcceptID, bcfg.AcceptID = 0x102, 0x101
+	a := NewEndpoint(w, busA.Attach("a"), 0x101, acfg)
+	b := NewEndpoint(w, busB.Attach("b"), 0x102, bcfg)
+
+	// Stray traffic from a third segment, forwarded to both endpoints:
+	// a frame outside either acceptance ID, a malformed PCI and
+	// FlowControls reaching endpoints with no transfer in flight.
+	busC := canbus.NewBus(canbus.PrototypeRates)
+	busC.SetClock(w.Clock)
+	for _, to := range []*canbus.Bus{busA, busB} {
+		if err := gw.Route(busC, to, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stray := busC.Attach("stray")
+	for _, f := range []canbus.Frame{
+		{ID: 0x300, Data: []byte{0x02, 0xAA, 0xBB}},
+		{ID: 0x101, Data: []byte{0xF0, 1, 2, 3}},
+		{ID: 0x101, Data: cantp.FlowControlFrame(cantp.FlowContinue, 0, 0)},
+		{ID: 0x102, Data: cantp.FlowControlFrame(cantp.FlowContinue, 0, 0)},
+	} {
+		if _, err := stray.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Run()
+
+	link := &Link{World: w}
+	for _, n := range []int{5, 245} {
+		for _, dir := range [][2]*Endpoint{{a, b}, {b, a}} {
+			m := Message{CommCode: 1, SessionID: 3, OpCode: byte(n), Payload: testPayload(n)}
+			got, err := link.Deliver(dir[0], dir[1], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Payload, m.Payload) {
+				t.Fatalf("%d-byte message altered in transit", n)
+			}
+		}
+	}
+	watch.Pump()
+
+	fcs := 0
+	for i, f := range watch.seen {
+		if !bytes.Equal(f.Data, watch.orig[i]) {
+			t.Errorf("frame %d (ID %#x) changed after delivery: % x, was % x", i, f.ID, f.Data, watch.orig[i])
+		}
+		if len(f.Data) > 0 && f.Data[0]>>4 == 0x3 {
+			fcs++
+		}
+	}
+	// Two stray FCs heard on two segments each, plus at least one FC
+	// answering each multi-frame transfer, also heard twice.
+	if fcs < 4+2*2 {
+		t.Errorf("watch saw %d FlowControls, want at least 8", fcs)
+	}
+}

@@ -17,10 +17,13 @@ import (
 // answer, and simulated time only moves through AdvanceTo, stopping at
 // each intermediate protocol timer.
 //
-// A world (and everything attached to it) must be driven from one
-// goroutine at a time; distinct worlds are fully independent. This is
-// the determinism contract of the chaos experiments: one goroutine,
-// one seed, one reproducible fault and recovery trace.
+// A world owns everything attached to it — clock, buses, nodes,
+// gateways, agents, endpoints — and must be driven from one goroutine
+// at a time; distinct worlds are fully independent. None of those
+// objects takes a lock of its own: mu (Acquire) is the only lock in
+// the fabric, and the race detector reports any access that bypasses
+// it. This is the determinism contract of the chaos experiments: one
+// goroutine, one seed, one reproducible fault and recovery trace.
 type World struct {
 	Clock *canbus.Clock
 
