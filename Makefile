@@ -67,12 +67,15 @@ bench-compare:
 # DH every handshake runs; the verify gate bounds a P-256 verification
 # against a KeyCache-held key, the handshake's other public-key op; the
 # broadcast gate holds a CAN Send to one payload copy whatever the
-# number of receivers.
+# number of receivers, and a clean gateway hop to none; the record gate
+# holds a 64 B session Seal+Open to its record and plaintext, and a
+# session that carries no record to no cipher or MAC.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget|TestSecretAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyAllocBudget' -v ./internal/core/
 	$(GO) test -run='TestBroadcastAllocBudget' -v ./internal/canbus/
+	$(GO) test -run='TestRecordAllocBudget' -v ./internal/session/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs CIOS Mul, Montgomery-
@@ -227,9 +230,9 @@ bench-scenarios:
 		-bench BENCH_scenarios.json >/dev/null
 
 # Brief fuzzing of the protocol parsers, of the transport endpoint's
-# receive path, of P-256 ECDSA verification against its in-repo oracle
-# and of the P-256 public point arithmetic the standard library serves
-# against fp (committed corpora under testdata/fuzz replay in every plain
+# receive path, of P-256 ECDSA verification against its in-repo oracle,
+# of the P-256 public point arithmetic the standard library serves
+# against fp and of the session record decoder (committed corpora under testdata/fuzz replay in every plain
 # `go test` run; this target digs further — used by CI with a short
 # budget, locally run longer).
 FUZZTIME ?= 10s
@@ -240,6 +243,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzEndpointService -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyDigest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec -fuzz FuzzPublicOpsP256 -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

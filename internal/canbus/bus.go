@@ -159,7 +159,7 @@ var ErrNotAttached = errors.New("canbus: node not attached to a bus")
 // wire time — it occupied the bus — with a nil error; loss is visible
 // only to the protocol layers above, exactly as on a real segment.
 func (n *Node) Send(f Frame) (time.Duration, error) {
-	res, err := n.send(f)
+	res, err := n.send(f, false)
 	return res.wire, err
 }
 
@@ -178,8 +178,12 @@ type sendResult struct {
 // delivered, and every receive queue was full.
 func (r sendResult) refused() bool { return !r.dropped && r.candidates > 0 && r.accepted == 0 }
 
-// send is the counted transmit path behind Send.
-func (n *Node) send(f Frame) (sendResult, error) {
+// send is the counted transmit path behind Send. A shared payload is
+// already immutable fabric data (a gateway forwarding what it
+// received) and is delivered without a copy unless this segment
+// corrupts it; any other payload is the sender's buffer and is copied
+// once.
+func (n *Node) send(f Frame, shared bool) (sendResult, error) {
 	if n.bus == nil {
 		return sendResult{}, ErrNotAttached
 	}
@@ -226,8 +230,9 @@ func (n *Node) send(f Frame) (sendResult, error) {
 	}
 	// One payload per broadcast, shared read-only by every receiver and
 	// duplicate; the sender keeps its own buffer. Padding already made
-	// a fresh one.
-	if padded == rawLen {
+	// a fresh one. A shared payload is copied only to be corrupted, so
+	// the corruption never shows on the segment it came from.
+	if padded == rawLen && (!shared || roll.corrupt) {
 		f.Data = append([]byte(nil), f.Data...)
 	}
 	copies := 1

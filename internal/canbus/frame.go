@@ -65,7 +65,9 @@ func LenForDLC(dlc byte) (int, error) {
 // per broadcast (or pads it into a fresh buffer), so the sender may
 // reuse its buffer at once, but every receiver, duplicate and tap of
 // that broadcast shares the one delivered slice: a receiver that must
-// modify the bytes copies them first.
+// modify the bytes copies them first. A gateway forwards that same
+// slice onto the next segment, copying it only when that segment
+// corrupts the frame.
 type Frame struct {
 	ID       uint32 // 11-bit standard or 29-bit extended identifier
 	Extended bool   // 29-bit identifier format

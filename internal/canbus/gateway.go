@@ -482,9 +482,11 @@ func (p *gatewayPort) serveBefore(a, b *egressFlow) bool {
 // Dropped counter), ForwardFailed when no receiver accepted it (the
 // frame is invalid for the destination segment, or every receiver's
 // RX queue overflowed). Before ForwardFailed existed such frames
-// vanished with no counter moving at all.
+// vanished with no counter moving at all. The payload is the one the
+// ingress segment delivered, read-only, and is forwarded without a
+// copy.
 func (g *Gateway) forward(p *gatewayPort, f Frame) {
-	res, err := p.node.send(f)
+	res, err := p.node.send(f, true)
 	if err != nil || res.refused() {
 		g.stats.ForwardFailed++
 		return

@@ -84,8 +84,9 @@ func TestCorruptDuplicateSharesOneCorruptedPayload(t *testing.T) {
 
 // TestBroadcastAllocBudget is the host-independent gate on the
 // broadcast path: an unpadded Send allocates one payload copy whatever
-// the number of receivers, and draining the receive queues allocates
-// nothing once they have grown to their working size.
+// the number of receivers, draining the receive queues allocates
+// nothing once they have grown to their working size, and a clean
+// gateway hop allocates nothing.
 func TestBroadcastAllocBudget(t *testing.T) {
 	const budget = 1
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
@@ -116,6 +117,70 @@ func TestBroadcastAllocBudget(t *testing.T) {
 	}
 	if allocs[2] != allocs[8] {
 		t.Errorf("allocations grow with receivers: %.0f/op for 2, %.0f/op for 8", allocs[2], allocs[8])
+	}
+
+	// A clean gateway hop forwards the payload it received: the Send
+	// on the ingress segment stays the only allocation.
+	clock := NewClock()
+	in, out := NewBus(PrototypeRates), NewBus(PrototypeRates)
+	in.SetClock(clock)
+	out.SetClock(clock)
+	gw := NewGateway("gw", clock)
+	if err := gw.Route(in, out, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := in.Attach("tx")
+	rxs := []*Node{out.Attach("rx1"), out.Attach("rx2")}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := tx.Send(Frame{ID: 0x100, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+		gw.Pump()
+		for _, rx := range rxs {
+			if _, ok := rx.Receive(); !ok {
+				t.Fatal("receiver missed the forwarded frame")
+			}
+		}
+	})
+	t.Logf("Send + clean gateway hop + drain: %.0f allocs/op (budget %d)", avg, budget)
+	if avg > budget {
+		t.Errorf("Send + clean gateway hop allocates %.0f/op, budget %d", avg, budget)
+	}
+}
+
+// TestForwardCorruptionStaysOnEgress: a gateway forwards the payload
+// it received without copying it, so a frame corrupted on the egress
+// segment must be corrupted in a copy — receivers on the ingress
+// segment keep the bytes that were sent there.
+func TestForwardCorruptionStaysOnEgress(t *testing.T) {
+	in, out := NewBus(PrototypeRates), NewBus(PrototypeRates)
+	out.Impair(Impairment{Seed: 3, Corrupt: 1})
+	gw := NewGateway("gw", nil)
+	if err := gw.Route(in, out, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := in.Attach("tx")
+	rxIn, rxOut := in.Attach("rx-in"), out.Attach("rx-out")
+	clean := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if _, err := tx.Send(Frame{ID: 0x100, Data: append([]byte(nil), clean...)}); err != nil {
+		t.Fatal(err)
+	}
+	if gw.Pump() == 0 {
+		t.Fatal("gateway forwarded nothing")
+	}
+	fIn, ok := rxIn.Receive()
+	if !ok {
+		t.Fatal("ingress receiver got nothing")
+	}
+	fOut, ok := rxOut.Receive()
+	if !ok {
+		t.Fatal("egress receiver got nothing")
+	}
+	if !bytes.Equal(fIn.Data, clean) {
+		t.Errorf("egress corruption reached the ingress segment: % x, sent % x", fIn.Data, clean)
+	}
+	if bytes.Equal(fOut.Data, clean) || out.Stats().Corrupted != 1 {
+		t.Errorf("egress segment did not corrupt the forwarded frame: % x, stats %+v", fOut.Data, out.Stats())
 	}
 }
 

@@ -4,7 +4,9 @@
 // key:
 //
 //   - authenticated encryption of application records (AES-128-CTR +
-//     HMAC-SHA-256 encrypt-then-MAC, the §V-A primitive stack);
+//     HMAC-SHA-256 encrypt-then-MAC, the §V-A primitive stack), keyed
+//     once per channel on its first record and reused for every record
+//     after it;
 //   - per-direction sequence numbers with strict replay rejection;
 //   - a rekey policy that bounds how long one session key may live,
 //     operationalizing the paper's core motivation: "implementation-
@@ -21,11 +23,15 @@
 package session
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"time"
 
 	"repro/internal/kdf"
@@ -91,15 +97,27 @@ const tagSize = 16
 // Overhead is the record expansion in bytes.
 const Overhead = recordHeader + tagSize
 
+// recordLabel prefixes every tagged record body.
+var recordLabel = []byte("session-record")
+
+// maxPayload bounds one record's plaintext: the 32-bit block counter
+// of the CTR counter block must not wrap.
+const maxPayload = uint64(1<<32) * aes.BlockSize
+
 // Channel is one endpoint's view of an established communication
-// session.
+// session. A Channel is used by one goroutine at a time (fleet's
+// per-peer lock provides that); it holds per-record scratch state.
 type Channel struct {
-	dir     Direction // the direction this endpoint sends in
-	encKey  []byte
-	macKey  []byte
+	dir     Direction                                 // the direction this endpoint sends in
+	key     [kdf.SessionKeySize + kdf.MACKeySize]byte // enc ‖ mac
 	policy  Policy
 	started time.Time
 	now     func() time.Time
+
+	// Built on the first Seal or Open (see keyed), so that a session
+	// which never carries a record pays nothing for it, then reused
+	// for every record.
+	rk *recordKeys
 
 	sendSeq uint64
 	recvSeq uint64 // high-water mark of accepted records (strict mode)
@@ -112,22 +130,24 @@ type Channel struct {
 }
 
 // NewPair derives both endpoints of a session from a KD key block
-// (enc ‖ mac, as produced by the protocols in internal/core). The
-// policy applies to both directions.
+// (enc ‖ mac, as produced by the protocols in internal/core). Each
+// channel keeps its own copy of the block; the AES-128 cipher and the
+// keyed HMAC-SHA-256 are built on the channel's first Seal or Open,
+// not here. The policy applies to both directions.
 func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if len(keyBlock) != kdf.SessionKeySize+kdf.MACKeySize {
 		return nil, nil, fmt.Errorf("session: key block size %d, want %d",
 			len(keyBlock), kdf.SessionKeySize+kdf.MACKeySize)
 	}
 	mk := func(dir Direction) *Channel {
-		return &Channel{
+		c := &Channel{
 			dir:     dir,
-			encKey:  append([]byte(nil), keyBlock[:kdf.SessionKeySize]...),
-			macKey:  append([]byte(nil), keyBlock[kdf.SessionKeySize:]...),
 			policy:  policy,
 			started: time.Now(),
 			now:     time.Now,
 		}
+		copy(c.key[:], keyBlock)
+		return c
 	}
 	return mk(DirAtoB), mk(DirBtoA), nil
 }
@@ -157,25 +177,33 @@ func (c *Channel) NeedsRekey() bool { return c.expired() }
 
 // Seal protects one application record:
 //
-//	seq(8) ‖ dir(1) ‖ CTR(encKey, nonce=f(seq,dir), plaintext) ‖ tag(16)
+//	seq(8) ‖ dir(1) ‖ AES-128-CTR(encKey, ctr, plaintext) ‖ tag(16)
+//	ctr = seq(8) ‖ dir(1) ‖ 0(3) ‖ blockctr(4), blockctr from 0
+//	tag = HMAC-SHA-256(macKey, "session-record" ‖ seq ‖ dir ‖ ciphertext)[:16]
 //
-// The sequence number is bound into both the keystream nonce and the
-// tag, so records cannot be reordered, truncated or replayed.
+// The sequence number and direction are bound into both the counter
+// block and the tag, so records cannot be reordered, truncated,
+// reflected or replayed, and the two directions never share a
+// keystream. A payload holds at most 2^32 AES blocks (64 GiB), so
+// blockctr never wraps. The first Seal or Open keys the channel.
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	if c.expired() {
 		return nil, ErrRekeyRequired
+	}
+	if uint64(len(plaintext)) > maxPayload {
+		return nil, fmt.Errorf("session: record payload %d bytes, max %d", len(plaintext), maxPayload)
+	}
+	rk, err := c.keyed()
+	if err != nil {
+		return nil, err
 	}
 	seq := c.sendSeq
 	out := make([]byte, recordHeader+len(plaintext)+tagSize)
 	binary.BigEndian.PutUint64(out[:8], seq)
 	out[8] = byte(c.dir)
 
-	stream := c.keystream(seq, c.dir, len(plaintext))
-	for i, p := range plaintext {
-		out[recordHeader+i] = p ^ stream[i]
-	}
-	tag := c.tag(out[:recordHeader+len(plaintext)])
-	copy(out[recordHeader+len(plaintext):], tag)
+	rk.xorKeyStream(out[recordHeader:recordHeader+len(plaintext)], plaintext, seq, c.dir)
+	copy(out[recordHeader+len(plaintext):], rk.tag(out[:recordHeader+len(plaintext)]))
 
 	c.sendSeq++
 	return out, nil
@@ -183,7 +211,8 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 
 // Open verifies and decrypts a record produced by the peer channel.
 // Records must arrive strictly in order; anything at or below the
-// high-water mark is rejected as a replay.
+// high-water mark is rejected as a replay. A rejected record leaves
+// the channel's state unchanged.
 func (c *Channel) Open(record []byte) ([]byte, error) {
 	if c.expired() {
 		return nil, ErrRekeyRequired
@@ -196,10 +225,14 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	if dir != c.dir.other() {
 		return nil, fmt.Errorf("%w: direction %#x", ErrMalformed, byte(dir))
 	}
+	rk, err := c.keyed()
+	if err != nil {
+		return nil, err
+	}
 
 	body := record[:len(record)-tagSize]
 	tag := record[len(record)-tagSize:]
-	if !hmac.Equal(c.tag(body), tag) {
+	if !hmac.Equal(rk.tag(body), tag) {
 		return nil, ErrAuth
 	}
 	// Authenticate BEFORE the replay check so an attacker cannot probe
@@ -210,11 +243,8 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 
 	ct := record[recordHeader : len(record)-tagSize]
-	stream := c.keystream(seq, dir, len(ct))
 	pt := make([]byte, len(ct))
-	for i, b := range ct {
-		pt[i] = b ^ stream[i]
-	}
+	rk.xorKeyStream(pt, ct, seq, dir)
 	c.acceptSeq(seq)
 	return pt, nil
 }
@@ -283,28 +313,50 @@ func (c *Channel) acceptSeq(seq uint64) {
 	}
 }
 
-// keystream derives the CTR keystream for (seq, dir) — unique per
-// record because seq never repeats within a key's lifetime. Empty
-// records (keep-alives) need no keystream.
-func (c *Channel) keystream(seq uint64, dir Direction, n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	var iv [12]byte
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	iv[8] = byte(dir)
-	out, err := kdf.HKDF(c.encKey, iv[:], []byte("session-record-stream"), n)
-	if err != nil {
-		// n is bounded by record sizes ≪ the HKDF limit; unreachable.
-		panic(err)
-	}
-	return out
+// recordKeys is a channel's keyed record primitives and the scratch
+// one record needs.
+type recordKeys struct {
+	block cipher.Block
+	mac   hash.Hash
+	ctr   [aes.BlockSize]byte // CTR counter block
+	ks    [aes.BlockSize]byte // one keystream block
+	sum   [sha256.Size]byte   // untruncated tag
 }
 
-// tag computes the truncated record MAC.
-func (c *Channel) tag(body []byte) []byte {
-	m := hmac.New(sha256.New, c.macKey)
-	m.Write([]byte("session-record"))
-	m.Write(body)
-	return m.Sum(nil)[:tagSize]
+// keyed returns the channel's record keys, building the AES-128
+// cipher and the keyed HMAC on first use.
+func (c *Channel) keyed() (*recordKeys, error) {
+	if c.rk != nil {
+		return c.rk, nil
+	}
+	block, err := aes.NewCipher(c.key[:kdf.SessionKeySize])
+	if err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
+	c.rk = &recordKeys{block: block, mac: hmac.New(sha256.New, c.key[kdf.SessionKeySize:])}
+	return c.rk, nil
+}
+
+// xorKeyStream XORs src with the AES-128-CTR keystream of record
+// (seq, dir) into dst, one counter block at a time. seq never repeats
+// within a key's lifetime in one direction, so no two records share a
+// counter block.
+func (k *recordKeys) xorKeyStream(dst, src []byte, seq uint64, dir Direction) {
+	binary.BigEndian.PutUint64(k.ctr[:8], seq)
+	k.ctr[8] = byte(dir)
+	for i := 0; len(src) > 0; i++ {
+		binary.BigEndian.PutUint32(k.ctr[12:], uint32(i))
+		k.block.Encrypt(k.ks[:], k.ctr[:])
+		n := subtle.XORBytes(dst, src, k.ks[:])
+		dst, src = dst[n:], src[n:]
+	}
+}
+
+// tag computes the truncated record MAC. The result aliases the
+// scratch and is valid until the next record.
+func (k *recordKeys) tag(body []byte) []byte {
+	k.mac.Reset()
+	k.mac.Write(recordLabel)
+	k.mac.Write(body)
+	return k.mac.Sum(k.sum[:0])[:tagSize]
 }

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // StepCost aggregates the wire cost attributed to one application
 // opcode. For STS handshake traffic the opcode is the Table II step
@@ -42,10 +39,12 @@ type StepCost struct {
 // Accounting attributes per-send costs to opcodes across every
 // endpoint configured with it (Config.Accounting). One instance is
 // typically shared by all endpoints of a measurement scenario, so the
-// snapshot is the fleet-wide per-step cost table. Safe for concurrent
-// use; within one single-goroutine World the lock is uncontended.
+// snapshot is the fleet-wide per-step cost table. Like the rest of the
+// fabric it belongs to the World whose endpoints share it and takes no
+// lock: it is updated and read on that world's driving goroutine (or
+// under World.Acquire), and the race detector reports any access that
+// bypasses that.
 type Accounting struct {
-	mu    sync.Mutex
 	steps map[byte]*StepCost
 }
 
@@ -54,19 +53,15 @@ func NewAccounting() *Accounting {
 	return &Accounting{steps: make(map[byte]*StepCost)}
 }
 
-// record applies an update to the opcode's cost row.
-func (a *Accounting) record(op byte, update func(*StepCost)) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// row returns the opcode's cost row for updating in place, creating it
+// on first use.
+func (a *Accounting) row(op byte) *StepCost {
 	c, ok := a.steps[op]
 	if !ok {
 		c = &StepCost{}
 		a.steps[op] = c
 	}
-	update(c)
+	return c
 }
 
 // Snapshot returns a copy of the per-opcode cost table.
@@ -74,8 +69,6 @@ func (a *Accounting) Snapshot() map[byte]StepCost {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make(map[byte]StepCost, len(a.steps))
 	for op, c := range a.steps {
 		out[op] = *c

@@ -210,17 +210,16 @@ func (e *Endpoint) Send(m Message) (time.Duration, error) {
 	f0, w0 := e.stats.FramesSent, e.stats.WireTime
 	r0, wh0, ab0 := e.stats.Retransmits, e.stats.WaitsHonoured, e.stats.AbortedSends
 	wt, err := e.send(m)
-	e.cfg.Accounting.record(m.OpCode, func(c *StepCost) {
-		c.Frames += e.stats.FramesSent - f0
-		c.WireTime += e.stats.WireTime - w0
-		c.Retransmits += e.stats.Retransmits - r0
-		c.WaitsHonoured += e.stats.WaitsHonoured - wh0
-		c.Aborted += e.stats.AbortedSends - ab0
-		if err == nil {
-			c.Messages++
-			c.PayloadBytes += len(m.Payload)
-		}
-	})
+	c := e.cfg.Accounting.row(m.OpCode)
+	c.Frames += e.stats.FramesSent - f0
+	c.WireTime += e.stats.WireTime - w0
+	c.Retransmits += e.stats.Retransmits - r0
+	c.WaitsHonoured += e.stats.WaitsHonoured - wh0
+	c.Aborted += e.stats.AbortedSends - ab0
+	if err == nil {
+		c.Messages++
+		c.PayloadBytes += len(m.Payload)
+	}
 	return wt, err
 }
 
@@ -230,7 +229,7 @@ func (e *Endpoint) accountResend(op byte) {
 	if e.cfg.Accounting == nil {
 		return
 	}
-	e.cfg.Accounting.record(op, func(c *StepCost) { c.Resends++ })
+	e.cfg.Accounting.row(op).Resends++
 }
 
 // accountQueueDelay attributes the post-send transit delay of a
@@ -241,7 +240,7 @@ func (e *Endpoint) accountQueueDelay(op byte, d time.Duration) {
 	if e.cfg.Accounting == nil || d <= 0 {
 		return
 	}
-	e.cfg.Accounting.record(op, func(c *StepCost) { c.QueueTime += d })
+	e.cfg.Accounting.row(op).QueueTime += d
 }
 
 // send is the unaccounted transmit path behind Send.
