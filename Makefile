@@ -69,13 +69,19 @@ bench-compare:
 # broadcast gate holds a CAN Send to one payload copy whatever the
 # number of receivers, and a clean gateway hop to none; the record gate
 # holds a 64 B session Seal+Open to its record and plaintext, and a
-# session that carries no record to no cipher or MAC.
+# session that carries no record to no cipher or MAC; the warm
+# handshake gate holds a re-key Connect whose key caches all hit to
+# its measured count (a hit decodes no certificate, and the handshake
+# keys each HMAC and AES block once); the datagram gate holds a 64 B
+# group Seal+Open to its datagram and plaintext.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget|TestSecretAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyAllocBudget' -v ./internal/core/
 	$(GO) test -run='TestBroadcastAllocBudget' -v ./internal/canbus/
 	$(GO) test -run='TestRecordAllocBudget' -v ./internal/session/
+	$(GO) test -run='TestWarmHandshakeAllocBudget' -v ./internal/fleet/
+	$(GO) test -run='TestDatagramAllocBudget' -v ./internal/group/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs CIOS Mul, Montgomery-
@@ -232,7 +238,9 @@ bench-scenarios:
 # Brief fuzzing of the protocol parsers, of the transport endpoint's
 # receive path, of P-256 ECDSA verification against its in-repo oracle,
 # of the P-256 public point arithmetic the standard library serves
-# against fp and of the session record decoder (committed corpora under testdata/fuzz replay in every plain
+# against fp, of the session record decoder and of the certificate
+# decoder with the KeyCache lookup a handshake runs before it
+# (committed corpora under testdata/fuzz replay in every plain
 # `go test` run; this target digs further — used by CI with a short
 # budget, locally run longer).
 FUZZTIME ?= 10s
@@ -244,6 +252,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyDigest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec -fuzz FuzzPublicOpsP256 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecqv -fuzz FuzzCertificateDecode -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

@@ -88,14 +88,14 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	return e.suite.sealResp(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
+	return e.suite.ctrEncrypt(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
 }
 
 // verifyResp checks a peer Resp under an extracted public key.
 func (e *engineCommon) verifyResp(direction string, resp []byte, q ec.Point, first, second ec.Point) error {
 	curve := e.party.Curve
 	e.suite.m.record(PrimAESBytes, len(resp))
-	raw, err := e.suite.openResp(e.encKey, e.macKey, direction, resp)
+	raw, err := e.suite.ctrEncrypt(e.encKey, e.macKey, direction, resp)
 	if err != nil {
 		return err
 	}
@@ -111,15 +111,10 @@ func (e *engineCommon) verifyResp(direction string, resp []byte, q ec.Point, fir
 }
 
 // extractPeer validates a peer certificate and reconstructs its key.
+// A certificate this party's KeyCache has seen before is not decoded
+// again (suite.extractEncoded).
 func (e *engineCommon) extractPeer(certBytes []byte, claimedID ecqv.ID) (ec.Point, error) {
-	cert, err := ecqv.Decode(certBytes)
-	if err != nil {
-		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
-	}
-	if err := checkCertificate(cert, claimedID); err != nil {
-		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
-	}
-	q, err := e.suite.extractPublicKey(cert, e.party.CAPub)
+	q, _, err := e.suite.extractEncoded(certBytes, claimedID, e.party.CAPub)
 	if err != nil {
 		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
 	}

@@ -23,9 +23,12 @@ import (
 // its keys are built and cached here alone.
 //
 // The cache holds derived public data only (no secrets) and is safe
-// for concurrent use. Entries are keyed by the certificate's
-// fingerprint together with the CA key, so a re-issued certificate or
-// a different trust anchor never aliases a stale entry.
+// for concurrent use. Extraction entries are keyed by SHA-256 over the
+// certificate's exact bytes and the CA key, so a re-issued certificate
+// or a different trust anchor never aliases a stale entry, and a
+// handshake engine looks a certificate up as it arrived, before
+// decoding it: a hit skips ecqv.Decode and re-checks only the header
+// bytes the relying-party policy reads (see ExtractEncoded).
 //
 // Note the hardware timing model is unaffected: the suite records the
 // same primitive counts whether or not the host-side cache hits,
@@ -33,7 +36,7 @@ import (
 // computation.
 type KeyCache struct {
 	mu        sync.RWMutex
-	extracted map[[32]byte]ec.Point
+	extracted map[[32]byte]ec.Point // by certKey
 	verifiers map[[32]byte]*ecdsa.PublicKey
 
 	// shared is the second cache level for verifier tables: a local
@@ -96,15 +99,12 @@ func (kc *KeyCache) Stats() CacheStats {
 	}
 }
 
-// certFingerprint binds a cache key to the exact certificate bytes and
-// the CA public key used for extraction.
-func certFingerprint(cert *ecqv.Certificate, caPub ec.Point) [32]byte {
-	h := sha256.New()
-	h.Write(cert.Encode())
-	h.Write(cert.Curve.EncodeCompressed(caPub))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+// certKey binds an extraction entry to the exact certificate bytes
+// and the CA public key, compressed on curve c. It allocates nothing
+// for certificates up to a P-256 certificate's size.
+func certKey(certBytes []byte, c *ec.Curve, caPub ec.Point) [32]byte {
+	var buf [160]byte
+	return sha256.Sum256(c.AppendCompressed(append(buf[:0], certBytes...), caPub))
 }
 
 // pointFingerprint keys a verifier table by curve and point.
@@ -118,16 +118,49 @@ func pointFingerprint(c *ec.Curve, q ec.Point) [32]byte {
 }
 
 // ExtractPublicKey performs (or recalls) the paper's equation (1):
-// Q_U = H(Cert_U)·P_U + Q_CA.
+// Q_U = H(Cert_U)·P_U + Q_CA. It looks the certificate up by its
+// encoding, so it shares entries with ExtractEncoded.
 func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
-	fp := certFingerprint(cert, caPub)
-	kc.mu.RLock()
-	q, ok := kc.extracted[fp]
-	kc.mu.RUnlock()
-	if ok {
-		kc.hits.Add(1)
-		return q.Clone(), nil
+	if !cert.Curve.IsOnCurve(caPub) {
+		// No entry can exist, and the key would not encode on
+		// cert.Curve: let the extraction report the error.
+		return ecqv.ExtractPublicKey(cert, caPub)
 	}
+	key := certKey(cert.Encode(), cert.Curve, caPub)
+	if q, ok := kc.lookup(key); ok {
+		kc.hits.Add(1)
+		return q, nil
+	}
+	return kc.extract(key, cert, caPub)
+}
+
+// ExtractEncoded is ExtractPublicKey for a certificate as a relying
+// party on curve c received it: certBytes must decode, name subject
+// and permit signatures (the handshake engines' policy), and Q is
+// extracted under caPub. The exact bytes are looked up before
+// anything is decoded; warm reports a hit, which re-checks only the
+// subject and usage header bytes, since bytes that were cached have
+// decoded before. A rejected certificate counts neither a hit nor a
+// miss.
+func (kc *KeyCache) ExtractEncoded(certBytes []byte, subject ecqv.ID, c *ec.Curve, caPub ec.Point) (q ec.Point, warm bool, err error) {
+	return newSuite(c, nil, nil, kc).extractEncoded(certBytes, subject, caPub)
+}
+
+// lookup returns a copy of the key cached under key, counting
+// nothing.
+func (kc *KeyCache) lookup(key [32]byte) (ec.Point, bool) {
+	kc.mu.RLock()
+	q, ok := kc.extracted[key]
+	kc.mu.RUnlock()
+	if !ok {
+		return ec.Point{}, false
+	}
+	return q.Clone(), true
+}
+
+// extract counts a miss, extracts Q from the decoded certificate and
+// caches it under key.
+func (kc *KeyCache) extract(key [32]byte, cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
 	kc.misses.Add(1)
 	q, err := ecqv.ExtractPublicKey(cert, caPub)
 	if err != nil {
@@ -137,7 +170,7 @@ func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec
 	if len(kc.extracted) >= keyCacheMaxEntries {
 		kc.extracted = make(map[[32]byte]ec.Point)
 	}
-	kc.extracted[fp] = q.Clone()
+	kc.extracted[key] = q.Clone()
 	kc.mu.Unlock()
 	return q, nil
 }

@@ -187,7 +187,7 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sts: B sign: %w", err)
 	}
-	respB, err := sb.sealResp(encB, macB, "B->A", dsignB.EncodeRaw(curve))
+	respB, err := sb.ctrEncrypt(encB, macB, "B->A", dsignB.EncodeRaw(curve))
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 
 	sa.enter(PhaseOp4)
 	sa.m.record(PrimAESBytes, len(b1.Get("Resp")))
-	dsignBraw, err := sa.openResp(encA, macA, "B->A", b1.Get("Resp"))
+	dsignBraw, err := sa.ctrEncrypt(encA, macA, "B->A", b1.Get("Resp"))
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sts: A sign: %w", err)
 	}
-	respA, err := sa.sealResp(encA, macA, "A->B", dsignA.EncodeRaw(curve))
+	respA, err := sa.ctrEncrypt(encA, macA, "A->B", dsignA.EncodeRaw(curve))
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 	}
 	sb.enter(PhaseOp4)
 	sb.m.record(PrimAESBytes, len(a2.Get("Resp")))
-	dsignAraw, err := sb.openResp(encB, macB, "A->B", a2.Get("Resp"))
+	dsignAraw, err := sb.ctrEncrypt(encB, macB, "A->B", a2.Get("Resp"))
 	if err != nil {
 		return nil, err
 	}
@@ -318,12 +318,30 @@ func (h *ecPointHolder) set(p ec.Point) {
 // claimed wire identity must match the certificate subject and the
 // certificate must permit signing.
 func checkCertificate(cert *ecqv.Certificate, wantSubject ecqv.ID) error {
-	if cert.SubjectID != wantSubject {
+	return checkPolicy(cert.SubjectID, cert.KeyUsage, wantSubject)
+}
+
+// checkPolicy is checkCertificate on the two fields it reads.
+func checkPolicy(subject ecqv.ID, usage ecqv.KeyUsage, wantSubject ecqv.ID) error {
+	if subject != wantSubject {
 		return fmt.Errorf("certificate subject %s does not match peer identity %s",
-			cert.SubjectID, wantSubject)
+			subject, wantSubject)
 	}
-	if !cert.PermitsUsage(ecqv.UsageSignature) {
+	if usage&ecqv.UsageSignature != ecqv.UsageSignature {
 		return errors.New("certificate does not permit signatures")
 	}
 	return nil
+}
+
+// decodePeerCertificate decodes a received certificate and applies
+// the relying-party policy to it.
+func decodePeerCertificate(certBytes []byte, wantSubject ecqv.ID) (*ecqv.Certificate, error) {
+	cert, err := ecqv.Decode(certBytes)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCertificate(cert, wantSubject); err != nil {
+		return nil, err
+	}
+	return cert, nil
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math/big"
 
@@ -31,6 +34,9 @@ type suite struct {
 	// unaffected: the meter records the primitives the modelled device
 	// would execute, cache hit or not.
 	cache *KeyCache
+	// resp is the keyed Resp encryption of the last session keys
+	// used, built on first use (see respKeys).
+	resp *respCipher
 }
 
 func newSuite(curve *ec.Curve, m *meter, rng io.Reader, cache *KeyCache) *suite {
@@ -74,14 +80,53 @@ func (s *suite) nonce(n int) ([]byte, error) {
 // extractPublicKey performs the paper's equation (1):
 // Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA.
 func (s *suite) extractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
-	s.m.record(PrimHashBytes, ecqv.EncodedSize(s.curve))
-	s.m.record(PrimECPointDecode, 1) // Decode(Cert): decompress P_U
-	s.m.record(PrimECPointMult, 1)
-	s.m.record(PrimECPointAdd, 1)
+	s.recordExtraction()
 	if s.cache != nil {
 		return s.cache.ExtractPublicKey(cert, caPub)
 	}
 	return ecqv.ExtractPublicKey(cert, caPub)
+}
+
+// recordExtraction records the device work of equation (1), whether
+// or not the host-side cache serves it.
+func (s *suite) recordExtraction() {
+	s.m.record(PrimHashBytes, ecqv.EncodedSize(s.curve))
+	s.m.record(PrimECPointDecode, 1) // Decode(Cert): decompress P_U
+	s.m.record(PrimECPointMult, 1)
+	s.m.record(PrimECPointAdd, 1)
+}
+
+// extractEncoded is extractPublicKey for a certificate as received on
+// the wire, under the relying-party policy for subject (see
+// KeyCache.ExtractEncoded). A cache hit on the exact bytes skips
+// ecqv.Decode and re-checks only the policy's header bytes; a hit
+// whose header fails the policy takes the decoding path, which
+// reports the same error it always did. Trace events and cache
+// counters are those of decode-then-extract.
+func (s *suite) extractEncoded(certBytes []byte, subject ecqv.ID, caPub ec.Point) (q ec.Point, warm bool, err error) {
+	if s.cache == nil {
+		cert, err := decodePeerCertificate(certBytes, subject)
+		if err != nil {
+			return ec.Point{}, false, err
+		}
+		q, err := s.extractPublicKey(cert, caPub)
+		return q, false, err
+	}
+	key := certKey(certBytes, s.curve, caPub)
+	if q, ok := s.cache.lookup(key); ok {
+		if id, usage, ok := ecqv.PeekHeader(certBytes); ok && checkPolicy(id, usage, subject) == nil {
+			s.cache.hits.Add(1)
+			s.recordExtraction()
+			return q, true, nil
+		}
+	}
+	cert, err := decodePeerCertificate(certBytes, subject)
+	if err != nil {
+		return ec.Point{}, false, err
+	}
+	s.recordExtraction()
+	q, err = s.cache.extract(key, cert, caPub)
+	return q, false, err
 }
 
 // dh computes a Diffie–Hellman shared point k·Q and returns its
@@ -206,57 +251,86 @@ func (s *suite) hash(parts ...[]byte) []byte {
 	return h.Sum(nil)
 }
 
-// sealResp implements the size-preserving Resp = encrypt(KS, dsign) of
-// Algorithm 1 line 6. AES-128-CTR with a per-direction keystream nonce
-// derived from the MAC key keeps |Resp| = |dsign| = 64 bytes — exactly
-// the "Resp(64)" that Table II charges. Integrity of the payload is
-// provided by the signature inside, not by a tag.
-func (s *suite) sealResp(encKey, macKey []byte, direction string, dsign []byte) ([]byte, error) {
-	s.m.record(PrimAESBytes, len(dsign))
-	stream, err := respStream(encKey, macKey, direction, len(dsign))
+// ctrEncrypt implements the size-preserving Resp = encrypt(KS, dsign)
+// of Algorithm 1 line 6, and its own inverse (Algorithm 2 line 1: CTR
+// is an involution); finish messages use it too. AES-128-CTR under
+// encKey from the IV HMAC-SHA-256(macKey, "resp-iv|" ‖ label)[:16]
+// keeps |Resp| = |dsign| = 64 bytes — exactly the "Resp(64)" that
+// Table II charges. Integrity of the payload is provided by the
+// signature inside, not by a tag. The IV is bound to the session (via
+// the MAC key, which is fresh per session for DKD protocols) and to
+// the label (the direction), so the two Resp messages of a session
+// never share keystream.
+func (s *suite) ctrEncrypt(encKey, macKey []byte, label string, data []byte) ([]byte, error) {
+	s.m.record(PrimAESBytes, len(data))
+	r, err := s.respKeys(encKey, macKey)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(dsign))
-	for i := range dsign {
-		out[i] = dsign[i] ^ stream[i]
+	r.label = append(append(r.label[:0], "resp-iv|"...), label...)
+	if r.ivUsed {
+		r.ivMAC.Reset()
 	}
+	r.ivUsed = true
+	r.ivMAC.Write(r.label)
+	copy(r.ctr[:], r.ivMAC.Sum(r.sum[:0]))
+	out := make([]byte, len(data))
+	xorCTR(r.block, &r.ctr, &r.ks, out, data)
 	return out, nil
 }
 
-// openResp inverts sealResp (Algorithm 2 line 1).
-func (s *suite) openResp(encKey, macKey []byte, direction string, resp []byte) ([]byte, error) {
-	return s.sealResp(encKey, macKey, direction, resp) // CTR is an involution
+// respCipher is one session's keyed ctrEncrypt: the AES-128 block
+// under the encryption key, the HMAC under the MAC key that derives
+// each label's IV, and their scratch. A handshake engine derives one
+// key pair, so it builds one respCipher and serves both Resp
+// directions from it.
+type respCipher struct {
+	keys  []byte // encKey ‖ macKey it was built under
+	nEnc  int    // len(encKey)
+	block cipher.Block
+	ivMAC hash.Hash
+	// ivUsed is set once ivMAC has absorbed input: a fresh HMAC
+	// needs no Reset, and skipping it skips hmac's one-off state
+	// snapshot.
+	ivUsed bool
+	label  []byte              // "resp-iv|" ‖ label
+	ctr    [aes.BlockSize]byte // CTR counter block
+	ks     [aes.BlockSize]byte // one keystream block
+	sum    [sha256.Size]byte   // untruncated IV
 }
 
-// respStream derives the CTR keystream for one direction. The IV is
-// bound to the session (via the MAC key, which is fresh per session
-// for DKD protocols) and to the direction label, so the two Resp
-// messages of a session never share keystream.
-func respStream(encKey, macKey []byte, direction string, n int) ([]byte, error) {
+// respKeys returns the suite's respCipher for (encKey, macKey),
+// building it when the keys differ from the last ones seen.
+func (s *suite) respKeys(encKey, macKey []byte) (*respCipher, error) {
+	if r := s.resp; r != nil && bytes.Equal(r.keys[:r.nEnc], encKey) && bytes.Equal(r.keys[r.nEnc:], macKey) {
+		return r, nil
+	}
 	block, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, err
 	}
-	ivm := hmac.New(sha256.New, macKey)
-	ivm.Write([]byte("resp-iv|" + direction))
-	iv := ivm.Sum(nil)[:aes.BlockSize]
-	stream := make([]byte, n)
-	cipher.NewCTR(block, iv).XORKeyStream(stream, stream)
-	return stream, nil
+	s.resp = &respCipher{
+		keys:  append(append(make([]byte, 0, len(encKey)+len(macKey)), encKey...), macKey...),
+		nEnc:  len(encKey),
+		block: block,
+		ivMAC: hmac.New(sha256.New, macKey),
+	}
+	return s.resp, nil
 }
 
-// ctrEncrypt is the generic size-preserving transport encryption used
-// by finish messages.
-func (s *suite) ctrEncrypt(encKey, macKey []byte, label string, data []byte) ([]byte, error) {
-	s.m.record(PrimAESBytes, len(data))
-	stream, err := respStream(encKey, macKey, label, len(data))
-	if err != nil {
-		return nil, err
+// xorCTR XORs src with the CTR keystream of block from counter block
+// ctr into dst, incrementing ctr as one 128-bit big-endian counter:
+// the keystream of cipher.NewCTR(block, ctr). ks is keystream scratch.
+func xorCTR(block cipher.Block, ctr, ks *[aes.BlockSize]byte, dst, src []byte) {
+	for len(src) > 0 {
+		block.Encrypt(ks[:], ctr[:])
+		n := subtle.XORBytes(dst, src, ks[:])
+		dst, src = dst[n:], src[n:]
+		for i := len(ctr) - 1; i >= 0; i-- {
+			ctr[i]++
+			if ctr[i] != 0 {
+				break
+			}
+		}
 	}
-	out := make([]byte, len(data))
-	for i := range data {
-		out[i] = data[i] ^ stream[i]
-	}
-	return out, nil
 }

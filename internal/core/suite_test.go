@@ -25,7 +25,7 @@ func TestSealRespInvolution(t *testing.T) {
 	for i := range dsign {
 		dsign[i] = byte(i * 3)
 	}
-	sealed, err := s.sealResp(enc, mac, "B->A", dsign)
+	sealed, err := s.ctrEncrypt(enc, mac, "B->A", dsign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,14 @@ func TestSealRespInvolution(t *testing.T) {
 		t.Fatalf("Resp grew: %d -> %d (Table II charges 64 B)", len(dsign), len(sealed))
 	}
 	if bytes.Equal(sealed, dsign) {
-		t.Fatal("sealResp is the identity")
+		t.Fatal("Resp encryption is the identity")
 	}
-	opened, err := s.openResp(enc, mac, "B->A", sealed)
+	opened, err := s.ctrEncrypt(enc, mac, "B->A", sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(opened, dsign) {
-		t.Fatal("sealResp/openResp not inverse")
+		t.Fatal("Resp encryption is not an involution")
 	}
 }
 
@@ -52,8 +52,8 @@ func TestSealRespDirectionSeparation(t *testing.T) {
 	enc := make([]byte, 16)
 	mac := make([]byte, 32)
 	zero := make([]byte, 64)
-	ab, _ := s.sealResp(enc, mac, "A->B", zero)
-	ba, _ := s.sealResp(enc, mac, "B->A", zero)
+	ab, _ := s.ctrEncrypt(enc, mac, "A->B", zero)
+	ba, _ := s.ctrEncrypt(enc, mac, "B->A", zero)
 	if bytes.Equal(ab, ba) {
 		t.Fatal("directions share keystream")
 	}
@@ -68,8 +68,8 @@ func TestSealRespKeySeparation(t *testing.T) {
 	mac2 := make([]byte, 32)
 	mac2[0] = 1
 	zero := make([]byte, 64)
-	c1, _ := s.sealResp(enc, mac1, "A->B", zero)
-	c2, _ := s.sealResp(enc, mac2, "A->B", zero)
+	c1, _ := s.ctrEncrypt(enc, mac1, "A->B", zero)
+	c2, _ := s.ctrEncrypt(enc, mac2, "A->B", zero)
 	if bytes.Equal(c1, c2) {
 		t.Fatal("sessions share keystream")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // Point is an affine curve point. The point at infinity (the group
@@ -118,10 +119,21 @@ func (c *Curve) EncodeCompressed(p Point) []byte {
 	if p.IsInfinity() {
 		return []byte{prefixInfinity}
 	}
-	out := make([]byte, 1+c.byteLen)
-	out[0] = prefixCompressed0 | byte(p.Y.Bit(0))
-	p.X.FillBytes(out[1:])
-	return out
+	return c.AppendCompressed(make([]byte, 0, 1+c.byteLen), p)
+}
+
+// AppendCompressed appends the EncodeCompressed form of p to dst and
+// returns the extended slice. It allocates only when dst lacks the
+// capacity.
+func (c *Curve) AppendCompressed(dst []byte, p Point) []byte {
+	if p.IsInfinity() {
+		return append(dst, prefixInfinity)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, 1+c.byteLen)[:n+1+c.byteLen]
+	dst[n] = prefixCompressed0 | byte(p.Y.Bit(0))
+	p.X.FillBytes(dst[n+1:])
+	return dst
 }
 
 // pointFromRaw builds the affine point with the fixed-width big-endian

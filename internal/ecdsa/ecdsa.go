@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math/big"
 
@@ -125,9 +126,10 @@ func (k *PrivateKey) SignDigest(digest []byte) (Signature, error) {
 	e := c.HashToInt(digest)
 
 	gen := newRFC6979(c, k.D, digest)
+	blind := gen.blind()
 	for i := 0; i < 128; i++ {
 		nonce := gen.next()
-		sig, err := k.signWithNonce(e, nonce)
+		sig, err := k.signWithNonce(e, nonce, blind)
 		if err == nil {
 			return sig, nil
 		}
@@ -138,7 +140,12 @@ func (k *PrivateKey) SignDigest(digest []byte) (Signature, error) {
 	return Signature{}, errors.New("ecdsa: nonce generation did not converge")
 }
 
-func (k *PrivateKey) signWithNonce(e, nonce *big.Int) (Signature, error) {
+// signWithNonce signs e with the secret nonce. blind ∈ [1, n−1] masks
+// the nonce inversion: math/big's ModInverse is a variable-time GCD,
+// so it inverts nonce·blind, which is independent of the nonce, and
+// nonce⁻¹ = blind·(nonce·blind)⁻¹ mod n. The signature is the one an
+// unblinded inversion gives.
+func (k *PrivateKey) signWithNonce(e, nonce, blind *big.Int) (Signature, error) {
 	c := k.Curve
 	if nonce.Sign() == 0 || nonce.Cmp(c.N) >= 0 {
 		return Signature{}, errZeroParam
@@ -154,7 +161,10 @@ func (k *PrivateKey) signWithNonce(e, nonce *big.Int) (Signature, error) {
 		return Signature{}, errZeroParam
 	}
 	// s = nonce⁻¹ (e + r·d) mod n
-	kInv := new(big.Int).ModInverse(nonce, c.N)
+	kInv := new(big.Int).Mul(nonce, blind)
+	kInv.Mod(kInv, c.N)
+	kInv.ModInverse(kInv, c.N)
+	kInv.Mul(kInv, blind)
 	s := new(big.Int).Mul(r, k.D)
 	s.Add(s, e)
 	s.Mul(s, kInv)
@@ -263,48 +273,80 @@ func DecodeRaw(c *ec.Curve, data []byte) (Signature, error) {
 }
 
 // rfc6979 produces the deterministic nonce stream of RFC 6979 §3.2
-// with HMAC-SHA-256.
+// with HMAC-SHA-256. mac is keyed with the current K and rekeyed only
+// when K changes; between uses it is Reset.
 type rfc6979 struct {
 	c     *ec.Curve
-	v, k  []byte
-	h     func() []byte // steps the generator and returns candidate bytes
-	drawn bool          // a candidate was returned; the next one needs the retry update
+	mac   hash.Hash // HMAC_K
+	used  bool      // mac has absorbed input since it was keyed
+	k, v  [sha256.Size]byte
+	sep   [1]byte
+	drawn bool // a candidate was returned; the next one needs the retry update
+}
+
+// begin readies mac for a new input. A freshly keyed HMAC needs no
+// Reset, and skipping it saves hmac's one-off state snapshot on a key
+// used only once.
+func (g *rfc6979) begin() {
+	if g.used {
+		g.mac.Reset()
+	}
+	g.used = true
 }
 
 func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
-	hlen := sha256.Size
-	v := make([]byte, hlen)
-	k := make([]byte, hlen)
-	for i := range v {
-		v[i] = 0x01
+	g := &rfc6979{c: c}
+	for i := range g.v {
+		g.v[i] = 0x01
 	}
+	g.mac = hmac.New(sha256.New, g.k[:]) // K = 0x00…
 
 	x := c.ScalarToBytes(priv)
 	h1 := c.ScalarToBytes(c.HashToInt(digest)) // bits2octets(H(m))
-
-	mac := func(key []byte, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, key)
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
-
-	k = mac(k, v, []byte{0x00}, x, h1)
-	v = mac(k, v)
-	k = mac(k, v, []byte{0x01}, x, h1)
-	v = mac(k, v)
-
-	g := &rfc6979{c: c, v: v, k: k}
-	g.h = func() []byte {
-		out := make([]byte, 0, c.ByteLen())
-		for len(out) < c.ByteLen() {
-			g.v = mac(g.k, g.v)
-			out = append(out, g.v...)
-		}
-		return out[:c.ByteLen()]
-	}
+	g.update(0x00, x, h1)
+	g.update(0x01, x, h1)
 	return g
+}
+
+// update runs K = HMAC_K(V ‖ sep ‖ extra…); V = HMAC_K(V), keying the
+// HMAC once with the new K.
+func (g *rfc6979) update(sep byte, extra ...[]byte) {
+	g.sep[0] = sep
+	g.begin()
+	g.mac.Write(g.v[:])
+	g.mac.Write(g.sep[:])
+	for _, p := range extra {
+		g.mac.Write(p)
+	}
+	g.mac.Sum(g.k[:0])
+	g.mac, g.used = hmac.New(sha256.New, g.k[:]), false
+	g.stepV()
+}
+
+// stepV runs V = HMAC_K(V).
+func (g *rfc6979) stepV() {
+	g.begin()
+	g.mac.Write(g.v[:])
+	g.mac.Sum(g.v[:0])
+}
+
+// blindLabel separates the blinding factor's HMAC input from every
+// input the nonce generator feeds HMAC_K (V, and V ‖ one byte).
+var blindLabel = []byte("ecdsa nonce-inversion blind")
+
+// blind derives the nonce-inversion blinding factor
+// b = HMAC_K(V ‖ blindLabel) mod (n−1) + 1 ∈ [1, n−1] from the state
+// that the private scalar and the digest seeded, without advancing
+// the generator: the nonce stream stays RFC 6979's.
+func (g *rfc6979) blind() *big.Int {
+	var sum [sha256.Size]byte
+	g.begin()
+	g.mac.Write(g.v[:])
+	g.mac.Write(blindLabel)
+	b := new(big.Int).SetBytes(g.mac.Sum(sum[:0]))
+	nm1 := new(big.Int).Sub(g.c.N, big.NewInt(1))
+	b.Mod(b, nm1)
+	return b.Add(b, big.NewInt(1))
 }
 
 // next returns the next candidate nonce in [0, 2^qlen); the caller
@@ -315,16 +357,16 @@ func (g *rfc6979) next() *big.Int {
 	if g.drawn {
 		// Per RFC 6979: K = HMAC_K(V ‖ 0x00); V = HMAC_K(V) before the
 		// next candidate.
-		mac := hmac.New(sha256.New, g.k)
-		mac.Write(g.v)
-		mac.Write([]byte{0x00})
-		g.k = mac.Sum(nil)
-		mac2 := hmac.New(sha256.New, g.k)
-		mac2.Write(g.v)
-		g.v = mac2.Sum(nil)
+		g.update(0x00)
 	}
 	g.drawn = true
-	t := g.h()
+	n := g.c.ByteLen()
+	t := make([]byte, 0, n+sha256.Size)
+	for len(t) < n {
+		g.stepV()
+		t = append(t, g.v[:]...)
+	}
+	t = t[:n]
 	k := new(big.Int).SetBytes(t)
 	if excess := len(t)*8 - g.c.N.BitLen(); excess > 0 {
 		k.Rsh(k, uint(excess))

@@ -352,3 +352,49 @@ func TestRFC6979RetrySequence(t *testing.T) {
 		v = mac(k, v)
 	}
 }
+
+// TestNonceBlind checks the inversion blinding factor: it lies in
+// [1, n−1], depends on the key and the digest, leaves the RFC 6979
+// candidate stream untouched, and never changes the signature.
+func TestNonceBlind(t *testing.T) {
+	c := ec.P256()
+	priv := big.NewInt(0xc0ffee)
+	digest := sha256.Sum256([]byte("blind"))
+	other := sha256.Sum256([]byte("blind2"))
+
+	g1 := newRFC6979(c, priv, digest[:])
+	b := g1.blind()
+	if b.Sign() <= 0 || b.Cmp(c.N) >= 0 {
+		t.Fatalf("blind %x outside [1, n−1]", b)
+	}
+	if again := newRFC6979(c, priv, digest[:]).blind(); again.Cmp(b) != 0 {
+		t.Fatal("blind is not deterministic")
+	}
+	if newRFC6979(c, priv, other[:]).blind().Cmp(b) == 0 ||
+		newRFC6979(c, big.NewInt(0xc0ffef), digest[:]).blind().Cmp(b) == 0 {
+		t.Fatal("blind ignores the digest or the key")
+	}
+	g2 := newRFC6979(c, priv, digest[:])
+	for i := 0; i < 3; i++ {
+		if x, y := g1.next(), g2.next(); x.Cmp(y) != 0 {
+			t.Fatalf("candidate %d moved after blind: %x vs %x", i, x, y)
+		}
+	}
+
+	key := &PrivateKey{Curve: c, D: priv}
+	e := c.HashToInt(digest[:])
+	nonce := newRFC6979(c, priv, digest[:]).next()
+	want, err := key.signWithNonce(e, nonce, big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blind := range []*big.Int{b, new(big.Int).Sub(c.N, big.NewInt(1)), big.NewInt(2)} {
+		got, err := key.signWithNonce(e, nonce, blind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.R.Cmp(want.R) != 0 || got.S.Cmp(want.S) != 0 {
+			t.Fatalf("blind %x changed the signature", blind)
+		}
+	}
+}

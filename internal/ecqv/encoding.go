@@ -149,6 +149,20 @@ func Decode(data []byte) (*Certificate, error) {
 	return cert, nil
 }
 
+// PeekHeader reads the subject ID and key-usage flags straight from a
+// certificate encoding, without decoding the reconstruction point. ok
+// is false when data is shorter than a header or carries another
+// version. It checks nothing else, so it is meaningful only for bytes
+// that Decode has accepted before: a relying party's cache keyed on
+// those exact bytes re-applies its policy this way.
+func PeekHeader(data []byte) (subject ID, usage KeyUsage, ok bool) {
+	if len(data) < certHeaderSize || data[0] != CertVersion {
+		return ID{}, 0, false
+	}
+	copy(subject[:], data[12:28])
+	return subject, KeyUsage(data[2]), true
+}
+
 // ValidAt reports whether the certificate's validity window covers t.
 func (cert *Certificate) ValidAt(t time.Time) bool {
 	u := t.Unix()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -239,6 +240,10 @@ func TestManagerConcurrentStress(t *testing.T) {
 	}
 }
 
+// sharedStressRuns counts TestSharedTableStressConsistency runs in
+// this process.
+var sharedStressRuns atomic.Int64
+
 // TestSharedTableStressConsistency runs concurrent EstablishAll waves
 // plus rekey-forcing traffic and then reconciles the fleet-global
 // SharedTableCache counters against the per-party key caches. The
@@ -259,7 +264,11 @@ func TestSharedTableStressConsistency(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	const peers = 8
-	parties := provisionBatchOn(t, ec.P224(), 63, 1+peers)
+	// The shared level is process-global: a repeated run (-count=N)
+	// provisions fresh keys, or the first run's tables would already
+	// be published and no party would build one.
+	seed := 63 + sharedStressRuns.Add(1) - 1
+	parties := provisionBatchOn(t, ec.P224(), seed, 1+peers)
 	gw := parties[0]
 
 	base := core.SharedTables().Stats()

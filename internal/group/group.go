@@ -13,13 +13,18 @@
 package group
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/core"
@@ -31,11 +36,19 @@ import (
 // MAC keys are derived from it per epoch.
 const GroupKeySize = 32
 
-// Keys is one epoch's group keying material.
+// Keys is one epoch's group keying material: the AES-128 cipher and
+// the keyed HMAC-SHA-256 that protect its datagrams, built once when
+// the epoch is keyed. Seal and Open are safe for concurrent use; they
+// serialize on the keyed MAC and the scratch.
 type Keys struct {
-	Epoch  uint32
-	encKey []byte
-	macKey []byte
+	Epoch uint32
+
+	mu    sync.Mutex
+	block cipher.Block
+	mac   hash.Hash
+	ctr   [aes.BlockSize]byte // CTR counter block
+	ks    [aes.BlockSize]byte // one keystream block
+	sum   [sha256.Size]byte   // untruncated tag
 }
 
 // deriveKeys expands a group secret into the epoch keys.
@@ -46,10 +59,14 @@ func deriveKeys(secret []byte, epoch uint32) (*Keys, error) {
 	if err != nil {
 		return nil, err
 	}
+	block, err := aes.NewCipher(okm[:kdf.SessionKeySize])
+	if err != nil {
+		return nil, fmt.Errorf("group: %w", err)
+	}
 	return &Keys{
-		Epoch:  epoch,
-		encKey: okm[:kdf.SessionKeySize],
-		macKey: okm[kdf.SessionKeySize:],
+		Epoch: epoch,
+		block: block,
+		mac:   hmac.New(sha256.New, okm[kdf.SessionKeySize:]),
 	}, nil
 }
 
@@ -226,29 +243,40 @@ func (m *Member) Keys() (*Keys, error) {
 	return m.keys, nil
 }
 
-// Group datagram format: epoch(4) ‖ sender(16) ‖ seq(8) ‖ ct ‖ tag(16).
+// Group datagram format:
+//
+//	epoch(4) ‖ sender(16) ‖ seq(8) ‖ AES-128-CTR(encKey, ctr, payload) ‖ tag(16)
+//	ctr = SHA-256(sender ‖ seq)[:12] ‖ blockctr(4), blockctr from 0
+//	tag = HMAC-SHA-256(macKey, "group-record" ‖ epoch ‖ sender ‖ seq ‖ ciphertext)[:16]
+//
+// The keys are the epoch's, so a counter block needs to be unique only
+// within the epoch. Sender and sequence number do not fit one AES
+// block beside a block counter, so their SHA-256 digest stands in:
+// two datagrams share keystream only if those 96 bits collide. A
+// payload holds at most 2^32 AES blocks, so blockctr never wraps.
 
 const groupHeader = 4 + ecqv.IDSize + 8
 
+// maxPayload is the largest datagram payload: 2^32 AES blocks.
+const maxPayload = 1 << 32 * aes.BlockSize
+
+// groupRecordLabel prefixes every datagram's MAC input.
+var groupRecordLabel = []byte("group-record")
+
 // Seal protects a group datagram under the epoch keys.
 func (k *Keys) Seal(sender ecqv.ID, seq uint64, payload []byte) ([]byte, error) {
-	hdr := make([]byte, groupHeader)
-	binary.BigEndian.PutUint32(hdr[:4], k.Epoch)
-	copy(hdr[4:20], sender[:])
-	binary.BigEndian.PutUint64(hdr[20:], seq)
-
-	// Per-datagram keystream from (epoch key, sender, seq).
-	stream, err := datagramStream(k.encKey, hdr, len(payload))
-	if err != nil {
-		return nil, err
+	if uint64(len(payload)) > maxPayload {
+		return nil, fmt.Errorf("group: datagram payload %d bytes, max %d", len(payload), uint64(maxPayload))
 	}
 	out := make([]byte, groupHeader+len(payload)+16)
-	copy(out, hdr)
-	for i, b := range payload {
-		out[groupHeader+i] = b ^ stream[i]
-	}
-	tag := k.tag(out[:groupHeader+len(payload)])
-	copy(out[groupHeader+len(payload):], tag)
+	binary.BigEndian.PutUint32(out[:4], k.Epoch)
+	copy(out[4:20], sender[:])
+	binary.BigEndian.PutUint64(out[20:groupHeader], seq)
+
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.xorKeyStream(out[groupHeader:groupHeader+len(payload)], payload, out[4:groupHeader])
+	copy(out[groupHeader+len(payload):], k.tag(out[:groupHeader+len(payload)]))
 	return out, nil
 }
 
@@ -266,6 +294,8 @@ func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 	if epoch != k.Epoch {
 		return ecqv.ID{}, nil, fmt.Errorf("%w: epoch %d, have %d", ErrGroupAuth, epoch, k.Epoch)
 	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	body := data[:len(data)-16]
 	if !hmac.Equal(k.tag(body), data[len(data)-16:]) {
 		return ecqv.ID{}, nil, ErrGroupAuth
@@ -273,31 +303,34 @@ func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 	var sender ecqv.ID
 	copy(sender[:], data[4:20])
 	ct := data[groupHeader : len(data)-16]
-	stream, err := datagramStream(k.encKey, data[:groupHeader], len(ct))
-	if err != nil {
-		return ecqv.ID{}, nil, err
-	}
 	pt := make([]byte, len(ct))
-	for i, b := range ct {
-		pt[i] = b ^ stream[i]
-	}
+	k.xorKeyStream(pt, ct, data[4:groupHeader])
 	return sender, pt, nil
 }
 
-// datagramStream derives the per-datagram keystream; empty payloads
-// need none.
-func datagramStream(encKey, hdr []byte, n int) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
+// xorKeyStream XORs src with the AES-128-CTR keystream of the datagram
+// whose sender ‖ seq header bytes are id into dst. k.mu is held.
+func (k *Keys) xorKeyStream(dst, src, id []byte) {
+	if len(src) == 0 {
+		return
 	}
-	return kdf.HKDF(encKey, hdr, []byte("group-datagram"), n)
+	nonce := sha256.Sum256(id)
+	copy(k.ctr[:12], nonce[:12])
+	for i := 0; len(src) > 0; i++ {
+		binary.BigEndian.PutUint32(k.ctr[12:], uint32(i))
+		k.block.Encrypt(k.ks[:], k.ctr[:])
+		n := subtle.XORBytes(dst, src, k.ks[:])
+		dst, src = dst[n:], src[n:]
+	}
 }
 
+// tag computes the truncated datagram MAC. The result aliases the
+// scratch and is valid while k.mu is held.
 func (k *Keys) tag(body []byte) []byte {
-	m := hmac.New(sha256.New, k.macKey)
-	m.Write([]byte("group-record"))
-	m.Write(body)
-	return m.Sum(nil)[:16]
+	k.mac.Reset()
+	k.mac.Write(groupRecordLabel)
+	k.mac.Write(body)
+	return k.mac.Sum(k.sum[:0])[:16]
 }
 
 // pairwiseHandshake drives the STS engine pair to completion.

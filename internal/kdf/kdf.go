@@ -38,7 +38,8 @@ func Extract(salt, ikm []byte) []byte {
 const maxExpand = 255 * sha256.Size
 
 // Expand implements HKDF-Expand, producing length bytes of output
-// keying material from a pseudorandom key and context info.
+// keying material from a pseudorandom key and context info. One HMAC
+// keyed with prk serves every output block.
 func Expand(prk, info []byte, length int) ([]byte, error) {
 	if length <= 0 {
 		return nil, errors.New("kdf: non-positive output length")
@@ -47,16 +48,22 @@ func Expand(prk, info []byte, length int) ([]byte, error) {
 		return nil, errors.New("kdf: output length exceeds 255*HashLen")
 	}
 	var (
-		out = make([]byte, 0, length)
+		m   = hmac.New(sha256.New, prk)
+		out = make([]byte, 0, length+sha256.Size)
 		t   []byte
-		ctr byte
+		ctr = make([]byte, 1)
 	)
 	for len(out) < length {
-		ctr++
-		t = hmacSHA256(prk, t, info, []byte{ctr})
-		out = append(out, t...)
+		if ctr[0]++; ctr[0] > 1 {
+			m.Reset()
+		}
+		m.Write(t)
+		m.Write(info)
+		m.Write(ctr)
+		out = m.Sum(out)
+		t = out[len(out)-sha256.Size:]
 	}
-	return out[:length], nil
+	return out[:length:length], nil
 }
 
 // HKDF runs extract-then-expand in one call.
